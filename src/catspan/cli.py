@@ -174,6 +174,8 @@ def _subspace_in(payload, n: int) -> Subspace:
         raise ValueError("expected a subspace object with a 'basis' key")
     if "D" in payload and payload["D"] != n:
         raise ValueError(f"input D={payload['D']} disagrees with --D {n}")
+    if not isinstance(payload["basis"], list):
+        raise ValueError("expected 'basis' to be a list of bitstrings")
     masks = []
     for s in payload["basis"]:
         if not isinstance(s, str) or len(s) != n:

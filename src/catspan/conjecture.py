@@ -67,8 +67,11 @@ def load_family(path: str | Path) -> SuppliedFamily:
     d = data["d"]
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"bad rank {d!r}")
+    subgroups = data["subgroups"]
+    if not isinstance(subgroups, list) or not all(isinstance(g, list) for g in subgroups):
+        raise ValueError("'subgroups' must be a list of bases, each a list of bitstrings")
     members = []
-    for gens in data["subgroups"]:
+    for gens in subgroups:
         masks = []
         for s in gens:
             if not isinstance(s, str) or len(s) != d:

@@ -138,6 +138,47 @@ def build_families(n: int) -> FamilyTable:
     return FamilyTable(n, frozenset(f0), frozenset(f1), lag, sub)
 
 
+def _peel(E: Subspace, level: str) -> list[int] | None:
+    """Run the slot induction backwards; the slots that build E, top first.
+
+    level is "f0", "f1" or "collection".  Each step takes the first slot i
+    at which E is a one-step extension, E = embed_i(P) + <e_i>, and pulls
+    back to P by deleting coordinates i and i+1.  That needs every row to
+    have x_{i-1} = x_{i+1} (coordinates outside V_n read 0) and e_i in E;
+    an even collection slot adjoins nothing, so it needs only the first.
+    Collection members lie in the odd-index part, which every step keeps.
+    The peel stops at the base of the level (zero, or the span of
+    e_1 + ... + e_n for f1) and returns None when no slot applies.
+    """
+    n = E.n
+    if n < 0 or n % 2:
+        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
+    rows = E.rows
+    if level == "collection" and any(r & ~(((1 << n) - 1) // 3) for r in rows):
+        return None
+    slots = []
+    while rows != (((1 << n) - 1,) if level == "f1" else ()):
+        # bit i-1 is set when some row has x_{i-1} != x_{i+1}
+        ragged = 0
+        for r in rows:
+            ragged |= (r << 1) ^ (r >> 1)
+        for i in range(1, n + 1):
+            ei = 1 << (i - 1)
+            adjoins = level != "collection" or i % 2
+            if ragged & ei or (adjoins and _reduce(ei, rows)):
+                continue
+            low = ei - 1
+            P = span_masks(((r & low) | (r >> (i + 1) << (i - 1)) for r in rows), n - 2)
+            if P.dim != len(rows) - adjoins:
+                return None
+            slots.append(i)
+            rows, n = P.rows, n - 2
+            break
+        else:
+            return None
+    return slots
+
+
 def line_classes(n: int) -> tuple[frozenset[Line], frozenset[Line]]:
     """All consecutive-run lines of V_n, split by parity class (0, 1)."""
     if n < 0:
@@ -150,13 +191,18 @@ def line_classes(n: int) -> tuple[frozenset[Line], frozenset[Line]]:
 
 
 def lines_in(E: Subspace) -> frozenset[Line]:
-    """Every consecutive-run line contained in E."""
+    """Every consecutive-run line contained in E.
+
+    Reduction against RREF rows is linear with kernel E, so the line
+    e_a + ... + e_b lies in E exactly when the prefixes e_1 + ... + e_{a-1}
+    and e_1 + ... + e_b leave the same residue: n + 1 reductions in all.
+    """
+    ends_by_residue: dict[int, list[int]] = {}
     out = []
-    for a in range(1, E.n + 1):
-        for b in range(a, E.n + 1):
-            L = Line(a, b)
-            if _reduce(L.mask(), E.rows) == 0:
-                out.append(L)
+    for b in range(E.n + 1):
+        ends = ends_by_residue.setdefault(_reduce((1 << b) - 1, E.rows), [])
+        out.extend(Line(a + 1, b) for a in ends)
+        ends.append(b)
     return frozenset(out)
 
 
@@ -169,7 +215,10 @@ def classify_by_lines(E: Subspace) -> tuple[str, Line | None]:
     family membership, not sufficient: F(e_1+e_2+e_3) in V_4 is the direct
     sum of one parity-1 line but belongs to neither level.
     """
-    B = lines_in(E)
+    return _line_shape(E, lines_in(E))
+
+
+def _line_shape(E: Subspace, B: frozenset[Line]) -> tuple[str, Line | None]:
     if len(B) != E.dim or span_masks((L.mask() for L in B), E.n) != E:
         return ("other", None)
     marked = [L for L in B if L.parity == 0]
@@ -185,24 +234,27 @@ def level_down(E: Subspace) -> Subspace:
 
     Bijection from the level-1 family onto the sub-Lagrangian level-0 part.
     """
-    table = build_families(E.n)
-    if E not in table.f1:
+    if _peel(E, "f1") is None:
         raise ValueError(f"subspace is not a level-1 member in V_{E.n}")
-    kind, marked = classify_by_lines(E)
+    B = lines_in(E)
+    kind, marked = _line_shape(E, B)
     if kind != "f1" or marked is None:
         raise AssertionError(f"level-1 member failed the line test in V_{E.n}")
-    B = lines_in(E)
     return span_masks((L.mask() for L in B if L != marked), E.n)
 
 
-@lru_cache(maxsize=None)
-def _level_map(n: int) -> dict[Subspace, Subspace]:
-    return {level_down(E): E for E in build_families(n).f1}
-
-
 def level_up(E0: Subspace) -> Subspace:
-    """Inverse of level_down, realized by inverting the finite table."""
-    inv = _level_map(E0.n)
-    if E0 not in inv:
-        raise ValueError(f"subspace is not a sub-Lagrangian level-0 member in V_{E0.n}")
-    return inv[E0]
+    """Inverse of level_down: adjoin the parity-0 run that E0 is missing.
+
+    Peeling E0 as a level-0 member ends at the zero subspace of some V_m
+    with m > 0; the same slots carry the level-1 base e_1 + ... + e_m of
+    V_m up to that run.
+    """
+    n = E0.n
+    slots = _peel(E0, "f0")
+    if slots is None or 2 * E0.dim >= n:
+        raise ValueError(f"subspace is not a sub-Lagrangian level-0 member in V_{n}")
+    run = (1 << (n - 2 * len(slots))) - 1
+    for i in reversed(slots):
+        run = _embed_mask(i, run)
+    return span_masks(E0.rows + (run,), n)

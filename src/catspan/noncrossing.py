@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from .families import _peel
 from .gf2 import (
     BitVector,
     Subspace,
@@ -126,8 +127,15 @@ class ArcSequence:
         return [[x.a, x.b] for x in self.arcs]
 
     @classmethod
-    def from_json(cls, obj: Iterable[Iterable[int]]) -> "ArcSequence":
-        return cls.of(Arc(int(a), int(b)) for a, b in obj)
+    def from_json(cls, obj: list[list[int]]) -> "ArcSequence":
+        if not isinstance(obj, list) or not all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+            for pair in obj
+        ):
+            raise ValueError("expected a list of [a, b] arcs with integer endpoints")
+        return cls.of(Arc(a, b) for a, b in obj)
 
 
 def seq_key(seq: ArcSequence) -> tuple:
@@ -282,23 +290,17 @@ def span_arcs(seq: ArcSequence, n: int) -> Subspace:
     return span_masks((x.mask() for x in seq), n)
 
 
-@lru_cache(maxsize=None)
-def _arc_map(n: int) -> dict[Subspace, ArcSequence]:
-    out: dict[Subspace, ArcSequence] = {}
-    for seq in enumerate_noncrossing(n):
-        E = span_arcs(seq, n)
-        if E in out:
-            raise AssertionError(f"two arc sets span the same subspace in V_{n}")
-        out[E] = seq
-    return out
-
-
 def arcs_of(E: Subspace) -> ArcSequence:
     """The unique noncrossing arc set spanning a collection member."""
-    table = _arc_map(E.n)
-    if E not in table:
+    slots = _peel(E, "collection")
+    if slots is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
-    return table[E]
+    n = E.n - 2 * len(slots)
+    seq = ArcSequence()
+    for i in reversed(slots):
+        n += 2
+        seq = extend_seq(i, seq, n)
+    return seq
 
 
 def even_annihilator(E: Subspace) -> Subspace:
@@ -330,7 +332,7 @@ def even_annihilator(E: Subspace) -> Subspace:
 
 def to_lagrangian(E: Subspace) -> Subspace:
     """Collection member to Lagrangian level-0 member: E plus its annihilator."""
-    if E not in build_collection(E.n).members:
+    if _peel(E, "collection") is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
     bang = even_annihilator(E)
     out = subspace_sum(E, bang)
@@ -341,9 +343,7 @@ def to_lagrangian(E: Subspace) -> Subspace:
 
 def from_lagrangian(E: Subspace) -> Subspace:
     """Inverse direction: cut a Lagrangian level-0 member with the odd part."""
-    from .families import build_families
-
-    if E not in build_families(E.n).f0_lagrangian:
+    if _peel(E, "f0") is None or 2 * E.dim != E.n:
         raise ValueError(f"subspace is not a Lagrangian level-0 member in V_{E.n}")
     n = E.n
     odd = span_masks((1 << k for k in range(0, n, 2)), n)

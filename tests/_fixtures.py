@@ -6,8 +6,17 @@ not in reduced form; span() canonicalizes, so set equality against the
 builders is an honest element-for-element comparison.
 """
 
+from functools import lru_cache
+
 from catspan.gf2 import BitVector, Subspace, span
 from catspan.noncrossing import Arc, ArcSequence
+from catspan.oracle import all_isotropic
+
+
+@lru_cache(maxsize=None)
+def isotropic(D):
+    """oracle.all_isotropic(D), enumerated once per pytest run."""
+    return tuple(all_isotropic(D))
 
 
 def sub(n, *vectors):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from _fixtures import C_V2, C_V4, C_V6, F0_V2, F0_V4, F1_V2, F1_V4, Z_V2, Z_V4, Z_V6
+from _fixtures import C_V2, C_V4, C_V6, F0_V2, F0_V4, F1_V2, F1_V4, Z_V2, Z_V4, Z_V6, isotropic
 from catspan.conjecture import (
     SuppliedFamily,
     collection_as_plain,
@@ -40,7 +40,7 @@ from catspan.noncrossing import (
     span_arcs,
     to_lagrangian,
 )
-from catspan.oracle import all_isotropic, noncrossing_direct
+from catspan.oracle import noncrossing_direct
 
 
 @contextlib.contextmanager
@@ -194,7 +194,7 @@ def test_oracle_equivalence():
             assert noncrossing_direct(D) == sorted(enumerate_noncrossing(D), key=seq_key)
         for D in range(2, 9, 2):
             table = build_families(D)
-            iso = set(all_isotropic(D))
+            iso = set(isotropic(D))
             fam = table.f0 | table.f1
             assert fam <= iso
             for E in fam:

@@ -176,6 +176,10 @@ def test_map_errors(capsys):
     cases = [
         ("span-arcs", "not json"),
         ("span-arcs", "[[1, 3], [3, 5]]"),
+        ("span-arcs", "[1]"),
+        ("span-arcs", "{}"),
+        ("span-arcs", "[[1.5, 3]]"),
+        ("arcs-of", '{"basis": 5}'),
         ("arcs-of", '{"basis": ["10"]}'),
         ("arcs-of", '{"basis": ["1100"]}'),
         ("arcs-of", '{"D": 6, "basis": ["1010"]}'),
@@ -185,7 +189,7 @@ def test_map_errors(capsys):
     for op, payload in cases:
         code, out, err = run(capsys, "map", "--op", op, "--D", "4", "--input", payload)
         assert code == 2, (op, payload)
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_match_found(capsys, tmp_path):
@@ -212,6 +216,11 @@ def test_match_file_errors(capsys, tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "match", "--family", str(bad))
     assert code == 2 and err.startswith("error:")
+
+    shapeless = tmp_path / "shapeless.json"
+    shapeless.write_text(json.dumps({"d": 2, "subgroups": 5}), encoding="utf-8")
+    code, _, err = run(capsys, "match", "--family", str(shapeless))
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"d": 6, "subgroups": []}), encoding="utf-8")

@@ -105,7 +105,7 @@ def test_families_inside_brute_force_isotropic():
 
 def test_shape_counts_overshoot_families():
     # frozen counts: the line test finds strictly more shaped subspaces than
-    # the builders produce, which is why membership goes through the tables
+    # the builders produce, which is why membership goes through the slot peel
     expected = {4: (13, 10, 10, 5), 6: (73, 35, 93, 21)}
     for D, (f0_shaped, f0_size, f1_shaped, f1_size) in expected.items():
         table = build_families(D)
