@@ -12,7 +12,7 @@ from pathlib import Path
 from .conjecture import gl_match, load_family
 from .counting import verify_counts
 from .families import build_families, level_down, level_up
-from .gf2 import Subspace, span_masks, string_to_mask, subspace_key
+from .gf2 import Subspace, subspace_key
 from .noncrossing import (
     ArcSequence,
     arcs_of,
@@ -27,15 +27,15 @@ from .oracle import OracleBudget
 from .verify import run_checks
 
 SUBSPACE_KINDS = ("f0", "f1", "lagrangian", "collection")
-MAP_OPS = (
-    "span-arcs",
-    "arcs-of",
-    "level-down",
-    "level-up",
-    "lagrangian",
-    "unlagrangian",
-    "decompose",
-)
+# map ops that take a subspace; span-arcs and decompose take an arc set
+SUBSPACE_MAPS = {
+    "arcs-of": arcs_of,
+    "level-down": level_down,
+    "level-up": level_up,
+    "lagrangian": to_lagrangian,
+    "unlagrangian": from_lagrangian,
+}
+MAP_OPS = ("span-arcs", *SUBSPACE_MAPS, "decompose")
 
 
 def _even(value: str) -> int:
@@ -174,36 +174,21 @@ def _subspace_in(payload, n: int) -> Subspace:
         raise ValueError("expected a subspace object with a 'basis' key")
     if "D" in payload and payload["D"] != n:
         raise ValueError(f"input D={payload['D']} disagrees with --D {n}")
-    if not isinstance(payload["basis"], list):
-        raise ValueError("expected 'basis' to be a list of bitstrings")
-    masks = []
-    for s in payload["basis"]:
-        if not isinstance(s, str) or len(s) != n:
-            raise ValueError(f"bitstring {s!r} does not have length {n}")
-        masks.append(string_to_mask(s))
-    return span_masks(masks, n)
+    return Subspace.from_json({"D": n, "basis": payload["basis"]})
+
 
 
 def cmd_map(args: argparse.Namespace) -> int:
     n = args.D
     payload = json.loads(args.input)
-    if args.op == "span-arcs":
-        seq = ArcSequence.from_json(payload)
-        print(json.dumps(span_arcs(seq, n).to_json()))
-    elif args.op == "arcs-of":
-        print(json.dumps(arcs_of(_subspace_in(payload, n)).to_json()))
-    elif args.op == "level-down":
-        print(json.dumps(level_down(_subspace_in(payload, n)).to_json()))
-    elif args.op == "level-up":
-        print(json.dumps(level_up(_subspace_in(payload, n)).to_json()))
-    elif args.op == "lagrangian":
-        print(json.dumps(to_lagrangian(_subspace_in(payload, n)).to_json()))
-    elif args.op == "unlagrangian":
-        print(json.dumps(from_lagrangian(_subspace_in(payload, n)).to_json()))
+    if args.op in SUBSPACE_MAPS:
+        out = SUBSPACE_MAPS[args.op](_subspace_in(payload, n)).to_json()
+    elif args.op == "span-arcs":
+        out = span_arcs(ArcSequence.from_json(payload), n).to_json()
     else:
-        seq = ArcSequence.from_json(payload)
-        i, rest = decompose(seq, n)
-        print(json.dumps({"i": i, "rest": rest.to_json()}))
+        i, rest = decompose(ArcSequence.from_json(payload), n)
+        out = {"i": i, "rest": rest.to_json()}
+    print(json.dumps(out))
     return 0
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gf2 import Subspace, mask_to_string, span_masks, string_to_mask, subspace_key
+from .gf2 import Subspace, mask_to_string, span_masks, subspace_key
 from .noncrossing import build_collection
 
 __all__ = [
@@ -70,14 +70,7 @@ def load_family(path: str | Path) -> SuppliedFamily:
     subgroups = data["subgroups"]
     if not isinstance(subgroups, list) or not all(isinstance(g, list) for g in subgroups):
         raise ValueError("'subgroups' must be a list of bases, each a list of bitstrings")
-    members = []
-    for gens in subgroups:
-        masks = []
-        for s in gens:
-            if not isinstance(s, str) or len(s) != d:
-                raise ValueError(f"bitstring {s!r} does not have length {d}")
-            masks.append(string_to_mask(s))
-        members.append(span_masks(masks, d))
+    members = [Subspace.from_json({"D": d, "basis": gens}) for gens in subgroups]
     if len(set(members)) != len(members):
         raise ValueError("duplicate subgroups after canonicalization")
     return SuppliedFamily(d, tuple(sorted(members, key=subspace_key)))

@@ -29,6 +29,7 @@ __all__ = [
     "mask_to_string",
     "string_to_mask",
     "subspace_key",
+    "odd_support",
 ]
 
 
@@ -144,12 +145,9 @@ def _rref(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _reduce(m: int, rows: Sequence[int]) -> int:
-    """Residue of m after elimination against RREF rows; 0 iff m is spanned."""
-    for r in rows:
-        if m & (r & -r):
-            m ^= r
-    return m
+def odd_support(n: int) -> int:
+    """Support mask of the odd-index coordinates e_1, e_3, ... of V_n."""
+    return ((1 << n) - 1) // 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,8 +173,15 @@ class Subspace:
     def zero(cls, n: int) -> "Subspace":
         return cls(n, ())
 
+    def residue(self, m: int) -> int:
+        """Residue of m after elimination against the rows; 0 iff m is in E."""
+        for r in self.rows:
+            if m & (r & -r):
+                m ^= r
+        return m
+
     def contains_mask(self, m: int) -> bool:
-        return _reduce(m, self.rows) == 0
+        return self.residue(m) == 0
 
     def __contains__(self, v: BitVector) -> bool:
         if v.n != self.n:
@@ -203,13 +208,17 @@ class Subspace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Subspace":
-        n = obj["D"]
+        if not isinstance(obj, dict) or "D" not in obj or "basis" not in obj:
+            raise ValueError("expected a subspace object with 'D' and 'basis' keys")
+        n, basis = obj["D"], obj["basis"]
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"bad ambient dimension {n!r}")
+        if not isinstance(basis, list):
+            raise ValueError("expected 'basis' to be a list of bitstrings")
         masks = []
-        for s in obj["basis"]:
-            if len(s) != n:
-                raise ValueError(f"bitstring {s!r} has length {len(s)}, expected {n}")
+        for s in basis:
+            if not isinstance(s, str) or len(s) != n:
+                raise ValueError(f"bitstring {s!r} does not have length {n}")
             masks.append(string_to_mask(s))
         return span_masks(masks, n)
 
@@ -317,7 +326,7 @@ class SymplecticSpace:
     @property
     def odd_part_mask(self) -> int:
         """Support mask of the odd-index coordinate subspace (e_1, e_3, ...)."""
-        return ((1 << self.n) - 1) // 3
+        return odd_support(self.n)
 
     @property
     def even_part_mask(self) -> int:

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .families import _peel
 from .gf2 import (
     BitVector,
     Subspace,
     intersection,
     null_space,
+    odd_support,
     span_masks,
     subspace_key,
     subspace_sum,
 )
+from .slots import COLLECTION, F0, layer, peel, replay
 
 __all__ = [
     "Arc",
@@ -219,30 +220,9 @@ def decompose(seq: ArcSequence, n: int) -> tuple[int, ArcSequence]:
     return i, ArcSequence.of(out)
 
 
-def _embed_odd_mask(i: int, m: int) -> int:
-    # odd-part version of the slot embedding: e_{i-1} fans out to
-    # e_{i-1} + e_{i+1} (only reachable for even i), the rest shifts
-    if i < 2:
-        return m << 2
-    out = (m & ((1 << (i - 2)) - 1)) | ((m >> (i - 1)) << (i + 1))
-    if (m >> (i - 2)) & 1:
-        out |= (1 << (i - 2)) | (1 << i)
-    return out
-
-
-def _odd_support(n: int) -> int:
-    return ((1 << n) - 1) // 3
-
-
 def embed_odd_at(i: int, v: BitVector) -> BitVector:
     """Slot-i embedding of the odd-index part of V_{v.n} into that of V_{v.n + 2}."""
-    if v.n % 2:
-        raise ValueError(f"source dimension must be even, got {v.n}")
-    if v.mask & ~_odd_support(v.n):
-        raise ValueError("vector is not supported on odd indices")
-    if not 1 <= i <= v.n + 2:
-        raise ValueError(f"slot {i} outside [1, {v.n + 2}]")
-    return BitVector(v.n + 2, _embed_odd_mask(i, v.mask))
+    return COLLECTION.embed_vector(i, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,17 +247,8 @@ def build_collection(n: int) -> OddCollection:
     """Generate the odd-part collection at ambient dimension n by induction."""
     if n < 0 or n % 2:
         raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
-    if n == 0:
-        return OddCollection(0, frozenset([Subspace.zero(0)]))
-    prev = build_collection(n - 2)
-    members = {Subspace.zero(n)}
-    for i in range(1, n + 1):
-        for E in prev.members:
-            rows = [_embed_odd_mask(i, r) for r in E.rows]
-            if i % 2:
-                rows.append(1 << (i - 1))
-            members.add(span_masks(rows, n))
-    return OddCollection(n, frozenset(members))
+    below = build_collection(n - 2).members if n else ()
+    return OddCollection(n, frozenset(layer(COLLECTION.step, n, below, COLLECTION.base(n))))
 
 
 def span_arcs(seq: ArcSequence, n: int) -> Subspace:
@@ -292,15 +263,10 @@ def span_arcs(seq: ArcSequence, n: int) -> Subspace:
 
 def arcs_of(E: Subspace) -> ArcSequence:
     """The unique noncrossing arc set spanning a collection member."""
-    slots = _peel(E, "collection")
+    slots = peel(E, COLLECTION)
     if slots is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
-    n = E.n - 2 * len(slots)
-    seq = ArcSequence()
-    for i in reversed(slots):
-        n += 2
-        seq = extend_seq(i, seq, n)
-    return seq
+    return replay(slots, ArcSequence(), E.n - 2 * len(slots), extend_seq)
 
 
 def even_annihilator(E: Subspace) -> Subspace:
@@ -308,7 +274,7 @@ def even_annihilator(E: Subspace) -> Subspace:
     n = E.n
     if n % 2:
         raise ValueError(f"ambient dimension must be even, got {n}")
-    if any(r & ~_odd_support(n) for r in E.rows):
+    if any(r & ~odd_support(n) for r in E.rows):
         raise ValueError("subspace is not supported on odd indices")
     d = n // 2
     # unknowns: coefficients of e_2, e_4, ..., e_{2d}; constraint per basis
@@ -332,7 +298,7 @@ def even_annihilator(E: Subspace) -> Subspace:
 
 def to_lagrangian(E: Subspace) -> Subspace:
     """Collection member to Lagrangian level-0 member: E plus its annihilator."""
-    if _peel(E, "collection") is None:
+    if peel(E, COLLECTION) is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
     bang = even_annihilator(E)
     out = subspace_sum(E, bang)
@@ -343,7 +309,7 @@ def to_lagrangian(E: Subspace) -> Subspace:
 
 def from_lagrangian(E: Subspace) -> Subspace:
     """Inverse direction: cut a Lagrangian level-0 member with the odd part."""
-    if _peel(E, "f0") is None or 2 * E.dim != E.n:
+    if peel(E, F0) is None or 2 * E.dim != E.n:
         raise ValueError(f"subspace is not a Lagrangian level-0 member in V_{E.n}")
     n = E.n
     odd = span_masks((1 << k for k in range(0, n, 2)), n)

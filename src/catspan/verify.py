@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import CountReport, gaussian_binomial, verify_counts
-from .families import build_families, classify_by_lines, level_down, level_up, lines_in
-from .gf2 import Subspace, is_isotropic, span_masks, subspace_key, subspace_sum
+from .families import build_families, classify_by_lines, level_down, level_up
+from .gf2 import is_isotropic, span_masks, subspace_key, subspace_sum
 from .noncrossing import (
     Arc,
     ArcSequence,
-    _embed_odd_mask,
     arcs_of,
     build_collection,
     decompose,
@@ -29,6 +28,7 @@ from .noncrossing import (
     span_arcs,
     to_lagrangian,
 )
+from .slots import COLLECTION, layer
 from . import oracle as oracle_mod
 
 __all__ = ["CheckResult", "run_checks", "ORACLE_CHECKS"]
@@ -164,10 +164,7 @@ def check_embedding_compat(n: int) -> CheckResult:
     for seq in enumerate_noncrossing(n - 2):
         inner = span_arcs(seq, n - 2)
         for i in range(1, n + 1):
-            rows = [_embed_odd_mask(i, r) for r in inner.rows]
-            if i % 2:
-                rows.append(1 << (i - 1))
-            direct = span_masks(rows, n)
+            direct = COLLECTION.step(i, inner, n)
             via_arcs = span_arcs(extend_seq(i, seq, n), n)
             if direct != via_arcs:
                 return _fail(
@@ -191,13 +188,9 @@ def check_roundtrip(n: int) -> CheckResult:
 def check_inductive_closure(n: int) -> CheckResult:
     """The extend-generated family equals the directly enumerated one."""
     name = "inductive-closure"
-    generated: set[ArcSequence] = {ArcSequence()}
+    generated = {ArcSequence()}
     for m in range(2, n + 1, 2):
-        step = {ArcSequence()}
-        for seq in generated:
-            for i in range(1, m + 1):
-                step.add(extend_seq(i, seq, m))
-        generated = step
+        generated = layer(extend_seq, m, generated, ArcSequence())
     direct = set(enumerate_noncrossing(n))
     if generated != direct:
         diff = sorted(generated ^ direct, key=seq_key)[0]

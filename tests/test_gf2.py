@@ -255,6 +255,14 @@ def test_subspace_serialization():
         Subspace.from_json({"D": 4, "basis": ["101"]})
     with pytest.raises(ValueError):
         Subspace.from_json({"D": -2, "basis": []})
+    with pytest.raises(ValueError):
+        Subspace.from_json({"D": 4, "basis": 5})
+    with pytest.raises(ValueError):
+        Subspace.from_json({"basis": []})
+    with pytest.raises(ValueError):
+        Subspace.from_json([])
+    with pytest.raises(ValueError):
+        Subspace.from_json({"D": 2, "basis": [3]})
 
 
 def test_subspace_key_is_injective():

@@ -9,36 +9,48 @@ allows, and the peel-based inverse maps must equal plain table inversions.
 import pytest
 
 from _fixtures import isotropic
-from catspan.families import _peel, build_families, level_down, level_up
+from catspan.families import build_families, level_down, level_up
 from catspan.gf2 import Subspace
 from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs
 from catspan.oracle import all_subspaces
+from catspan.slots import COLLECTION, F0, F1, peel, replay
+
+
+def replays_to(E, slots, rule):
+    """Both forward readings of the slots, subspace steps and unreduced rows."""
+    m = E.n - 2 * len(slots)
+    return replay(slots, rule.base(m), m, rule.step) == E == rule.build(slots, E.n)
 
 
 def test_peel_accepts_members_at_their_own_level():
     for D in range(0, 13, 2):
         table = build_families(D)
         for E in table.f0:
-            assert _peel(E, "f0") is not None and _peel(E, "f1") is None
+            assert peel(E, F0) is not None and peel(E, F1) is None
+            assert replays_to(E, peel(E, F0), F0)
         for E in table.f1:
-            assert _peel(E, "f1") is not None and _peel(E, "f0") is None
+            assert peel(E, F1) is not None and peel(E, F0) is None
+            assert replays_to(E, peel(E, F1), F1)
         for E in build_collection(D).members:
-            assert _peel(E, "collection") is not None
+            assert peel(E, COLLECTION) is not None
+            assert replays_to(E, peel(E, COLLECTION), COLLECTION)
 
 
 def test_peel_agrees_with_tables_on_brute_force_subspaces():
     for D in range(2, 9, 2):
         table = build_families(D)
         iso = isotropic(D)
-        assert {E for E in iso if _peel(E, "f0") is not None} == table.f0
-        assert {E for E in iso if _peel(E, "f1") is not None} == table.f1
-        accepted = {E for E in all_subspaces(D) if _peel(E, "collection") is not None}
+        assert {E for E in iso if peel(E, F0) is not None} == table.f0
+        assert {E for E in iso if peel(E, F1) is not None} == table.f1
+        accepted = {E for E in all_subspaces(D) if peel(E, COLLECTION) is not None}
         assert accepted == build_collection(D).members
 
 
 def test_peel_rejects_odd_dimensions():
     with pytest.raises(ValueError, match="must be even"):
-        _peel(Subspace.zero(3), "f0")
+        peel(Subspace.zero(3), F0)
+    with pytest.raises(ValueError, match="no member in V_0"):
+        F1.base(0)
 
 
 def test_inverse_maps_equal_table_inversions():

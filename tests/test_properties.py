@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from catspan.families import _peel, embed_at, level_down, level_up  # noqa: E402
+from catspan.families import embed_at, level_down, level_up  # noqa: E402
 from catspan.gf2 import BitVector, span_masks  # noqa: E402
 from catspan.noncrossing import (  # noqa: E402
     ArcSequence,
@@ -25,6 +25,7 @@ from catspan.noncrossing import (  # noqa: E402
     span_arcs,
     to_lagrangian,
 )
+from catspan.slots import COLLECTION, F0, F1, peel  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 
@@ -61,10 +62,10 @@ def grow_arcs(D, bottom, slots):
 @given(slot_runs(2))
 def test_level_maps_round_trip(run):
     E = grow("f1", *run)
-    assert _peel(E, "f1") is not None and _peel(E, "f0") is None
+    assert peel(E, F1) is not None and peel(E, F0) is None
     E0 = level_down(E)
     assert E0.dim + 1 == E.dim
-    assert _peel(E0, "f0") is not None
+    assert peel(E0, F0) is not None
     assert level_up(E0) == E
 
 
@@ -72,7 +73,7 @@ def test_level_maps_round_trip(run):
 @given(slot_runs(0))
 def test_level_zero_members(run):
     E = grow("f0", *run)
-    assert _peel(E, "f0") is not None and _peel(E, "f1") is None
+    assert peel(E, F0) is not None and peel(E, F1) is None
     if 2 * E.dim < E.n:
         assert level_down(level_up(E)) == E
     else:
@@ -83,11 +84,11 @@ def test_level_zero_members(run):
 @given(slot_runs(0))
 def test_collection_maps_round_trip(run):
     E = grow("collection", *run)
-    assert _peel(E, "collection") is not None
+    assert peel(E, COLLECTION) is not None
     seq = arcs_of(E)
     assert span_arcs(seq, E.n) == E and len(seq) == E.dim
     L = to_lagrangian(E)
-    assert 2 * L.dim == E.n and _peel(L, "f0") is not None
+    assert 2 * L.dim == E.n and peel(L, F0) is not None
     assert from_lagrangian(L) == E
 
 
