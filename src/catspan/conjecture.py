@@ -65,7 +65,7 @@ def load_family(path: str | Path) -> SuppliedFamily:
     if not isinstance(data, dict) or "d" not in data or "subgroups" not in data:
         raise ValueError("family file needs keys 'd' and 'subgroups'")
     d = data["d"]
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"bad rank {d!r}")
     subgroups = data["subgroups"]
     if not isinstance(subgroups, list) or not all(isinstance(g, list) for g in subgroups):

@@ -20,9 +20,7 @@ from .slots import F0, F1, layer, peel
 __all__ = [
     "Line",
     "FamilyTable",
-    "embed_at",
     "build_families",
-    "line_classes",
     "lines_in",
     "classify_by_lines",
     "level_down",
@@ -79,11 +77,6 @@ class FamilyTable:
         }
 
 
-def embed_at(i: int, v: BitVector) -> BitVector:
-    """Re-embed v in a space two wider, opening a gap at index i."""
-    return F0.embed_vector(i, v)
-
-
 @lru_cache(maxsize=None)
 def build_families(n: int) -> FamilyTable:
     """Generate both family levels at ambient dimension n by induction."""
@@ -101,17 +94,6 @@ def build_families(n: int) -> FamilyTable:
     lag = frozenset(E for E in f0 if E.dim == half)
     sub = frozenset(E for E in f0 if E.dim < half)
     return FamilyTable(n, frozenset(f0), frozenset(f1), lag, sub)
-
-
-def line_classes(n: int) -> tuple[frozenset[Line], frozenset[Line]]:
-    """All consecutive-run lines of V_n, split by parity class (0, 1)."""
-    if n < 0:
-        raise ValueError(f"ambient dimension must be >= 0, got {n}")
-    lines = [Line(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
-    return (
-        frozenset(L for L in lines if L.parity == 0),
-        frozenset(L for L in lines if L.parity == 1),
-    )
 
 
 def lines_in(E: Subspace) -> frozenset[Line]:

@@ -14,15 +14,10 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "BitVector",
     "Subspace",
-    "SymplecticSpace",
-    "vec_add",
-    "symplectic_form",
     "form_masks",
     "span",
     "span_masks",
     "subspace_sum",
-    "contains",
-    "equals",
     "is_isotropic",
     "intersection",
     "null_space",
@@ -104,30 +99,17 @@ class BitVector:
         return self.mask == 0
 
     def __add__(self, other: "BitVector") -> "BitVector":
-        return vec_add(self, other)
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        return BitVector(self.n, self.mask ^ other.mask)
 
     def __str__(self) -> str:
         return self.to_string()
 
 
-def vec_add(x: BitVector, y: BitVector) -> BitVector:
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    return BitVector(x.n, x.mask ^ y.mask)
-
-
 def form_masks(a: int, b: int) -> int:
     """Nearest-neighbour pairing of two masks: sum_i a_i*b_{i+1} + a_{i+1}*b_i."""
     return (((a >> 1) & b).bit_count() + ((b >> 1) & a).bit_count()) & 1
-
-
-def symplectic_form(x: BitVector, y: BitVector) -> int:
-    """<x, y> for the form with <e_i, e_j> = 1 iff |i - j| = 1."""
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    if x.n % 2:
-        raise ValueError(f"ambient dimension must be even, got {x.n}")
-    return form_masks(x.mask, y.mask)
 
 
 def _rref(masks: Iterable[int]) -> tuple[int, ...]:
@@ -211,7 +193,7 @@ class Subspace:
         if not isinstance(obj, dict) or "D" not in obj or "basis" not in obj:
             raise ValueError("expected a subspace object with 'D' and 'basis' keys")
         n, basis = obj["D"], obj["basis"]
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"bad ambient dimension {n!r}")
         if not isinstance(basis, list):
             raise ValueError("expected 'basis' to be a list of bitstrings")
@@ -257,16 +239,6 @@ def subspace_sum(E: Subspace, F: Subspace) -> Subspace:
     return span_masks(E.rows + F.rows, E.n)
 
 
-def contains(E: Subspace, x: BitVector) -> bool:
-    return x in E
-
-
-def equals(E: Subspace, F: Subspace) -> bool:
-    if E.n != F.n:
-        raise ValueError(f"dimension mismatch: {E.n} vs {F.n}")
-    return E.rows == F.rows
-
-
 def is_isotropic(E: Subspace) -> bool:
     """True when the form vanishes on E x E.  Alternating, so pairs suffice."""
     if E.n % 2:
@@ -308,44 +280,3 @@ def null_space(masks: Sequence[int], width: int) -> tuple[int, ...]:
         basis.append(v)
     return _rref(basis)
 
-
-@dataclass(frozen=True, slots=True)
-class SymplecticSpace:
-    """Ambient V_n with the nearest-neighbour form; n = 2d must be even."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.n % 2:
-            raise ValueError(f"ambient dimension must be even and >= 0, got {self.n}")
-
-    @property
-    def d(self) -> int:
-        return self.n // 2
-
-    @property
-    def odd_part_mask(self) -> int:
-        """Support mask of the odd-index coordinate subspace (e_1, e_3, ...)."""
-        return odd_support(self.n)
-
-    @property
-    def even_part_mask(self) -> int:
-        return self.odd_part_mask << 1
-
-    def unit(self, i: int) -> BitVector:
-        return BitVector.unit(self.n, i)
-
-    def full_vector(self) -> BitVector:
-        """e_1 + e_2 + ... + e_n."""
-        return BitVector(self.n, (1 << self.n) - 1)
-
-    def odd_part(self) -> Subspace:
-        return span_masks((1 << k for k in range(0, self.n, 2)), self.n)
-
-    def even_part(self) -> Subspace:
-        return span_masks((1 << k for k in range(1, self.n, 2)), self.n)
-
-    def form(self, x: BitVector, y: BitVector) -> int:
-        if x.n != self.n or y.n != self.n:
-            raise ValueError("vector does not live in this space")
-        return form_masks(x.mask, y.mask)

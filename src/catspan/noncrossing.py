@@ -34,7 +34,6 @@ __all__ = [
     "shift_arc",
     "extend_seq",
     "decompose",
-    "embed_odd_at",
     "build_collection",
     "span_arcs",
     "arcs_of",
@@ -120,10 +119,6 @@ class ArcSequence:
     def __contains__(self, arc: Arc) -> bool:
         return arc in self.arcs
 
-    def refines(self, other: "ArcSequence") -> bool:
-        """Arc-set containment."""
-        return set(self.arcs) <= set(other.arcs)
-
     def to_json(self) -> list[list[int]]:
         return [[x.a, x.b] for x in self.arcs]
 
@@ -196,6 +191,8 @@ def decompose(seq: ArcSequence, n: int) -> tuple[int, ArcSequence]:
     """
     if not seq.arcs:
         raise ValueError("empty sequence has no decomposition")
+    if max(x.b for x in seq.arcs) > n - 1:
+        raise ValueError(f"sequence does not fit in V_{n}")
     chosen = min(seq.arcs, key=lambda x: (x.b - x.a, x.a))
     if chosen.a == chosen.b:
         i = chosen.a
@@ -215,14 +212,7 @@ def decompose(seq: ArcSequence, n: int) -> tuple[int, ArcSequence]:
             raise AssertionError(
                 f"unshift at slot {i} hit arc ({x.a}, {x.b}); input was not noncrossing"
             )
-    if not 1 <= i <= n:
-        raise ValueError(f"sequence does not fit in V_{n}")
     return i, ArcSequence.of(out)
-
-
-def embed_odd_at(i: int, v: BitVector) -> BitVector:
-    """Slot-i embedding of the odd-index part of V_{v.n} into that of V_{v.n + 2}."""
-    return COLLECTION.embed_vector(i, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,24 +266,11 @@ def even_annihilator(E: Subspace) -> Subspace:
         raise ValueError(f"ambient dimension must be even, got {n}")
     if any(r & ~odd_support(n) for r in E.rows):
         raise ValueError("subspace is not supported on odd indices")
-    d = n // 2
-    # unknowns: coefficients of e_2, e_4, ..., e_{2d}; constraint per basis
-    # vector v of E: <e_{2t}, v> = v_{2t-1} + v_{2t+1}
-    constraints = []
-    for r in E.rows:
-        c = 0
-        for t in range(1, d + 1):
-            bit = (r >> (2 * t - 2)) & 1
-            if 2 * t < n:
-                bit ^= (r >> (2 * t)) & 1
-            c |= bit << (t - 1)
-        constraints.append(c)
-    kernel = null_space(constraints, d)
-    rows = [
-        sum(((v >> t) & 1) << (2 * t + 1) for t in range(d))
-        for v in kernel
-    ]
-    return span_masks(rows, n)
+    # x pairs to zero with row r iff parity(x & ((r << 1) ^ (r >> 1))) = 0;
+    # the odd units cut x down to the even-index part
+    full = (1 << n) - 1
+    pairings = [((r << 1) ^ (r >> 1)) & full for r in E.rows]
+    return Subspace(n, null_space(pairings + [1 << k for k in range(0, n, 2)], n))
 
 
 def to_lagrangian(E: Subspace) -> Subspace:

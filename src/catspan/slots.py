@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
-from .gf2 import BitVector, Subspace, odd_support, span_masks
+from .gf2 import Subspace, odd_support, span_masks
 
 __all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "replay", "peel"]
 
@@ -46,16 +46,6 @@ class Rule(NamedTuple):
         if self.full_base and not n:
             raise ValueError("level 1 has no member in V_0")
         return Subspace(n, ((1 << n) - 1,) if self.full_base else ())
-
-    def embed_vector(self, i: int, v: BitVector) -> BitVector:
-        """embed_i on one vector of V_{v.n}, with its arguments checked."""
-        if v.n % 2:
-            raise ValueError(f"source dimension must be even, got {v.n}")
-        if self.odd_only and v.mask & ~odd_support(v.n):
-            raise ValueError("vector is not supported on odd indices")
-        if not 1 <= i <= v.n + 2:
-            raise ValueError(f"slot {i} outside [1, {v.n + 2}]")
-        return BitVector(v.n + 2, embed(i, v.mask, self.fan))
 
     def grow(self, i: int, rows: Iterable[int]) -> list[int]:
         """Spanning rows of embed_i(P) + <e_i> from spanning rows of P."""

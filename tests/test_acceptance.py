@@ -153,13 +153,13 @@ def test_slot_lemmas_and_roundtrips():
                                 [shift_arc(i, x1, D), shift_arc(i, x2, D)]
                             )
         # spanning commutes with slot extension, D<=10
-        from catspan.noncrossing import embed_odd_at
+        from catspan.slots import embed
 
         for D in range(2, 11, 2):
             for s in enumerate_noncrossing(D - 2):
                 inner = span_arcs(s, D - 2)
                 for i in range(1, D + 1):
-                    rows = [embed_odd_at(i, v).mask for v in inner.basis]
+                    rows = [embed(i, r, 0b101) for r in inner.rows]
                     if i % 2:
                         rows.append(1 << (i - 1))
                     assert span_masks(rows, D) == span_arcs(extend_seq(i, s, D), D)

@@ -185,6 +185,7 @@ def test_map_errors(capsys):
         ("arcs-of", '{"D": 6, "basis": ["1010"]}'),
         ("level-down", '{"basis": ["1000"]}'),
         ("decompose", "[[5, 5]]"),
+        ("decompose", "[[1, 7]]"),
     ]
     for op, payload in cases:
         code, out, err = run(capsys, "map", "--op", op, "--D", "4", "--input", payload)
@@ -220,6 +221,11 @@ def test_match_file_errors(capsys, tmp_path):
     shapeless = tmp_path / "shapeless.json"
     shapeless.write_text(json.dumps({"d": 2, "subgroups": 5}), encoding="utf-8")
     code, _, err = run(capsys, "match", "--family", str(shapeless))
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text(json.dumps({"d": True, "subgroups": [[], ["1"]]}), encoding="utf-8")
+    code, _, err = run(capsys, "match", "--family", str(boolean))
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
     big = tmp_path / "big.json"

@@ -10,20 +10,19 @@ from catspan.families import (
     Line,
     build_families,
     classify_by_lines,
-    embed_at,
     level_down,
     level_up,
-    line_classes,
     lines_in,
 )
 from catspan.gf2 import (
     BitVector,
     Subspace,
+    form_masks,
     is_isotropic,
     span_masks,
     subspace_sum,
-    symplectic_form,
 )
+from catspan.slots import embed
 
 
 def test_line_basics():
@@ -43,7 +42,9 @@ def test_line_basics():
 
 
 def test_line_classes_v4():
-    parity0, parity1 = line_classes(4)
+    lines = [Line(a, b) for a in range(1, 5) for b in range(a, 5)]
+    parity0 = {L for L in lines if L.parity == 0}
+    parity1 = {L for L in lines if L.parity == 1}
     assert parity0 == {Line(1, 2), Line(2, 3), Line(3, 4), Line(1, 4)}
     assert parity1 == {Line(1, 1), Line(2, 2), Line(3, 3), Line(4, 4), Line(1, 3), Line(2, 4)}
 
@@ -54,44 +55,35 @@ def test_line_vectors_isotropy():
     for n in (2, 4, 6):
         for a in range(1, n + 1):
             for b in range(a, n + 1):
-                v = Line(a, b).vector(n)
-                assert symplectic_form(v, v) == 0
+                v = Line(a, b).vector(n).mask
+                assert form_masks(v, v) == 0
 
 
 def test_embed_examples():
-    e1 = BitVector.unit(2, 1)
-    assert embed_at(1, e1) == BitVector.unit(4, 3)
-    assert embed_at(2, e1) == BitVector.from_indices(4, [1, 2, 3])
-    assert embed_at(3, BitVector.unit(2, 2)) == BitVector.from_indices(4, [2, 3, 4])
-    assert embed_at(4, BitVector.from_indices(2, [1, 2])) == BitVector.from_indices(4, [1, 2])
-    with pytest.raises(ValueError):
-        embed_at(0, e1)
-    with pytest.raises(ValueError):
-        embed_at(5, e1)
-    with pytest.raises(ValueError):
-        embed_at(1, BitVector.unit(3, 1))
+    e1 = BitVector.unit(2, 1).mask
+    assert embed(1, e1, 0b111) == BitVector.unit(4, 3).mask
+    assert embed(2, e1, 0b111) == BitVector.from_indices(4, [1, 2, 3]).mask
+    assert embed(3, BitVector.unit(2, 2).mask, 0b111) == BitVector.from_indices(4, [2, 3, 4]).mask
+    assert embed(4, 0b11, 0b111) == BitVector.from_indices(4, [1, 2]).mask
 
 
 def test_embed_is_linear_and_injective():
     for i in range(1, 7):
         seen = set()
         for m in range(16):
-            img = embed_at(i, BitVector(4, m))
-            assert img not in seen
+            img = embed(i, m, 0b111)
+            assert img < 1 << 6 and img not in seen
             seen.add(img)
         for a in range(16):
             for b in range(16):
-                lhs = embed_at(i, BitVector(4, a ^ b))
-                rhs = embed_at(i, BitVector(4, a)) + embed_at(i, BitVector(4, b))
-                assert lhs == rhs
+                assert embed(i, a ^ b, 0b111) == embed(i, a, 0b111) ^ embed(i, b, 0b111)
 
 
 def test_embed_preserves_form():
     for i in range(1, 7):
         for a in range(16):
             for b in range(16):
-                x, y = BitVector(4, a), BitVector(4, b)
-                assert symplectic_form(embed_at(i, x), embed_at(i, y)) == symplectic_form(x, y)
+                assert form_masks(embed(i, a, 0b111), embed(i, b, 0b111)) == form_masks(a, b)
 
 
 def test_family_tables_match_reference_lists():

@@ -1,7 +1,10 @@
-"""No module of the package imports a private name from another one."""
+"""Package imports: no private names across modules, no stale exports."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import catspan
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catspan"
 
@@ -15,3 +18,18 @@ def test_no_private_imports_across_modules():
             if node.level or (node.module or "").startswith("catspan"):
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_every_export_resolves():
+    modules = [catspan] + [
+        importlib.import_module(f"catspan.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    stale = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert stale == []

@@ -13,19 +13,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from catspan.families import embed_at, level_down, level_up  # noqa: E402
-from catspan.gf2 import BitVector, span_masks  # noqa: E402
+from catspan.families import level_down, level_up  # noqa: E402
+from catspan.gf2 import span_masks  # noqa: E402
 from catspan.noncrossing import (  # noqa: E402
     ArcSequence,
     arcs_of,
     decompose,
-    embed_odd_at,
     extend_seq,
     from_lagrangian,
     span_arcs,
     to_lagrangian,
 )
-from catspan.slots import COLLECTION, F0, F1, peel  # noqa: E402
+from catspan.slots import COLLECTION, F0, F1, embed, peel  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 
@@ -43,9 +42,9 @@ def slot_runs(draw, bottom_min):
 def grow(kind, D, bottom, slots):
     """Member of f0, f1 or the collection built by the given slots."""
     rows = [(1 << bottom) - 1] if kind == "f1" else []
-    embed = embed_odd_at if kind == "collection" else embed_at
-    for m, i in zip(range(bottom + 2, D + 1, 2), slots):
-        rows = [embed(i, BitVector(m - 2, r)).mask for r in rows]
+    fan = 0b101 if kind == "collection" else 0b111
+    for i in slots:
+        rows = [embed(i, r, fan) for r in rows]
         if kind != "collection" or i % 2:
             rows.append(1 << (i - 1))
     return span_masks(rows, D)
