@@ -172,10 +172,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _subspace_in(payload, n: int) -> Subspace:
     if not isinstance(payload, dict) or "basis" not in payload:
         raise ValueError("expected a subspace object with a 'basis' key")
-    if "D" in payload and payload["D"] != n:
-        raise ValueError(f"input D={payload['D']} disagrees with --D {n}")
-    return Subspace.from_json({"D": n, "basis": payload["basis"]})
-
+    E = Subspace.from_json({"D": n, **payload})
+    if E.n != n:
+        raise ValueError(f"input D={payload['D']!r} disagrees with --D {n}")
+    return E
 
 
 def cmd_map(args: argparse.Namespace) -> int:

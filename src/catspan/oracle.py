@@ -36,12 +36,16 @@ class OracleBudget:
     def from_env(cls) -> "OracleBudget":
         """Budget with CATSPAN_ORACLE_MAX_DIM / CATSPAN_ORACLE_MAX_ODD_DIM applied."""
         kw = {}
-        v = os.environ.get("CATSPAN_ORACLE_MAX_DIM")
-        if v is not None:
-            kw["max_dim"] = int(v)
-        v = os.environ.get("CATSPAN_ORACLE_MAX_ODD_DIM")
-        if v is not None:
-            kw["max_odd_dim"] = int(v)
+        for field, var in (
+            ("max_dim", "CATSPAN_ORACLE_MAX_DIM"),
+            ("max_odd_dim", "CATSPAN_ORACLE_MAX_ODD_DIM"),
+        ):
+            v = os.environ.get(var)
+            if v is not None:
+                try:
+                    kw[field] = int(v)
+                except ValueError:
+                    raise ValueError(f"{var} must be an integer, got {v!r}") from None
         return cls(**kw)
 
 

@@ -2,20 +2,19 @@
 
 Each test here covers one headline guarantee end to end, prints a single
 PASS or FAIL line for it (visible with -s, and mirrored by the -v test
-status), and enforces the advertised wall-clock ceiling.  The unit modules
-cover the same ground at small sizes with finer-grained assertions; this
-module is the gate.
+status), and enforces the advertised wall-clock ceiling.  The identity tests
+run the checks behind `catspan verify`; the hand-written reference tables and
+the brute-force oracle are the independent second source.  The unit modules
+keep their own finer-grained loops at small D; this module is the gate.
 """
 
 import contextlib
-import math
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from _fixtures import C_V2, C_V4, C_V6, F0_V2, F0_V4, F1_V2, F1_V4, Z_V2, Z_V4, Z_V6, isotropic
+from _fixtures import C_V2, C_V4, C_V6, F0_V2, F0_V4, F1_V2, F1_V4, Z_V2, Z_V4, Z_V6
 from catspan.conjecture import (
     SuppliedFamily,
     collection_as_plain,
@@ -23,24 +22,21 @@ from catspan.conjecture import (
     gl_match,
     load_family,
 )
-from catspan.counting import catalan, narayana
-from catspan.families import build_families, classify_by_lines, level_down, level_up
-from catspan.gf2 import is_isotropic, span_masks, subspace_key, subspace_sum
-from catspan.noncrossing import (
-    Arc,
-    arcs_of,
-    build_collection,
-    decompose,
-    enumerate_noncrossing,
-    extend_seq,
-    from_lagrangian,
-    is_noncrossing,
-    seq_key,
-    shift_arc,
-    span_arcs,
-    to_lagrangian,
+from catspan.counting import verify_counts
+from catspan.families import build_families
+from catspan.gf2 import span_masks, subspace_key
+from catspan.noncrossing import build_collection, enumerate_noncrossing
+from catspan.verify import (
+    check_arc_bijection,
+    check_embedding_compat,
+    check_inductive_closure,
+    check_lagrangian,
+    check_level_bijection,
+    check_oracle_families,
+    check_oracle_noncrossing,
+    check_roundtrip,
+    check_shift_lemmas,
 )
-from catspan.oracle import noncrossing_direct
 
 
 @contextlib.contextmanager
@@ -56,14 +52,18 @@ def reported(label, budget_s):
     print(f"PASS {label} ({dt:.1f}s)")
 
 
+def passes(check, dims):
+    for D in dims:
+        res = check(D)
+        assert res.ok, res.counterexample
+
+
 def test_cardinalities_to_d16():
+    # every verify_counts row, the Narayana grades of both gradings included
     with reported("cardinalities D=2..16 equal closed forms", 120):
         for D in range(2, 17, 2):
-            d = D // 2
-            table = build_families(D)
-            assert len(table.f0) == math.comb(D + 1, d)
-            assert len(table.f1) == math.comb(D + 1, d - 1)
-            assert len(table.f0_lagrangian) == catalan(d + 1)
+            report = verify_counts(D)
+            assert report.all_pass, report.failures()
         assert len(build_families(16).f0) == 24310
 
 
@@ -83,127 +83,34 @@ def test_reference_tables_exact():
 
 def test_level_bijection_to_d12():
     with reported("level bijection exhaustive D<=12", 60):
-        for D in range(2, 13, 2):
-            table = build_families(D)
-            images = {}
-            for E in table.f1:
-                kind, marked = classify_by_lines(E)
-                assert kind == "f1" and marked.parity == 0
-                assert marked.a % 2 == 1 and marked.b % 2 == 0
-                E0 = level_down(E)
-                assert E0 in table.f0_sub
-                assert E0.dim + 1 == E.dim
-                assert subspace_sum(E0, span_masks([marked.mask()], D)) == E
-                assert E0 not in images
-                images[E0] = E
-                assert level_up(E0) == E
-            assert set(images) == set(table.f0_sub)
+        passes(check_level_bijection, range(2, 13, 2))
 
 
 def test_arc_bijection_to_d14():
+    # the Narayana grades are verify_counts rows, run by test_cardinalities_to_d16
     with reported("arc-span bijection with Narayana grades D<=14", 120):
-        for D in range(2, 15, 2):
-            d = D // 2
-            coll = build_collection(D)
-            seqs = enumerate_noncrossing(D)
-            seen = {}
-            for s in seqs:
-                E = span_arcs(s, D)
-                assert E.dim == len(s)
-                assert E in coll.members
-                assert E not in seen
-                seen[E] = s
-                assert arcs_of(E) == s
-            assert set(seen) == set(coll.members)
-            grade_counts = Counter(len(s) for s in seqs)
-            for s in range(d + 1):
-                assert grade_counts[s] == narayana(d + 1, s + 1)
-                assert len(coll.grade(s)) == narayana(d + 1, s + 1)
-            assert sum(grade_counts.values()) == catalan(d + 1)
+        passes(check_arc_bijection, range(2, 15, 2))
 
 
 def test_lagrangian_bijection_to_d14():
     with reported("Lagrangian correspondence exhaustive D<=14", 120):
-        for D in range(2, 15, 2):
-            coll = build_collection(D)
-            lag = build_families(D).f0_lagrangian
-            images = set()
-            for E in coll.members:
-                L = to_lagrangian(E)
-                assert L in lag
-                assert from_lagrangian(L) == E
-                images.add(L)
-            assert images == set(lag)
+        passes(check_lagrangian, range(2, 15, 2))
 
 
 def test_slot_lemmas_and_roundtrips():
     with reported("slot shift lemmas, compatibility, round trips", 120):
-        # arc shifts: injective, unit-arc compatible, pair-preserving, D<=12
-        for D in range(4, 13, 2):
-            arcs = [Arc(a, b) for a in range(1, D - 2, 2) for b in range(a, D - 2, 2)]
-            for i in range(1, D + 1):
-                images = [shift_arc(i, x, D) for x in arcs]
-                assert len(set(images)) == len(images)
-                if i % 2:
-                    assert all(is_noncrossing([y, Arc(i, i)]) for y in images)
-                for k, x1 in enumerate(arcs):
-                    for x2 in arcs[k + 1 :]:
-                        if is_noncrossing([x1, x2]):
-                            assert is_noncrossing(
-                                [shift_arc(i, x1, D), shift_arc(i, x2, D)]
-                            )
-        # spanning commutes with slot extension, D<=10
-        from catspan.slots import embed
-
-        for D in range(2, 11, 2):
-            for s in enumerate_noncrossing(D - 2):
-                inner = span_arcs(s, D - 2)
-                for i in range(1, D + 1):
-                    rows = [embed(i, r, 0b101) for r in inner.rows]
-                    if i % 2:
-                        rows.append(1 << (i - 1))
-                    assert span_masks(rows, D) == span_arcs(extend_seq(i, s, D), D)
-        # extending a decomposition is the identity on every nonempty set,
-        # and decomposing an extension always re-extends to that extension,
-        # D<=12 both ways
-        for D in range(2, 13, 2):
-            for s in enumerate_noncrossing(D):
-                if len(s):
-                    i, smaller = decompose(s, D)
-                    assert extend_seq(i, smaller, D) == s
-            for s in enumerate_noncrossing(D - 2):
-                for i in range(1, D + 1):
-                    image = extend_seq(i, s, D)
-                    if not len(image):
-                        continue
-                    j, rest = decompose(image, D)
-                    assert extend_seq(j, rest, D) == image
-        # inductive closure: slot extensions generate exactly the
-        # enumerated noncrossing sets, D<=12
-        generated = {enumerate_noncrossing(0)[0]}
-        for D in range(2, 13, 2):
-            generated = {enumerate_noncrossing(0)[0]} | {
-                extend_seq(i, s, D) for s in generated for i in range(1, D + 1)
-            }
-            assert generated == set(enumerate_noncrossing(D))
+        passes(check_shift_lemmas, range(4, 13, 2))
+        passes(check_embedding_compat, range(2, 11, 2))
+        passes(check_roundtrip, range(2, 13, 2))
+        passes(check_inductive_closure, range(2, 13, 2))
 
 
 def test_oracle_equivalence():
+    # the line test marking more subspaces than the builders keep is pinned,
+    # with frozen counts, by test_oracle::test_shape_counts_overshoot_families
     with reported("oracle equivalence: enumeration and classification", 300):
-        for D in range(2, 11, 2):
-            assert noncrossing_direct(D) == sorted(enumerate_noncrossing(D), key=seq_key)
-        for D in range(2, 9, 2):
-            table = build_families(D)
-            iso = set(isotropic(D))
-            fam = table.f0 | table.f1
-            assert fam <= iso
-            for E in fam:
-                kind, _ = classify_by_lines(E)
-                assert kind == ("f0" if E in table.f0 else "f1")
-            # the line test alone is not membership: it marks strictly more
-            # isotropic subspaces than the builders produce
-            shaped = sum(1 for E in iso if classify_by_lines(E)[0] == "f0")
-            assert shaped > len(table.f0) or D == 2
+        passes(check_oracle_noncrossing, range(2, 11, 2))
+        passes(check_oracle_families, range(2, 9, 2))
 
 
 def test_matcher_sanity():

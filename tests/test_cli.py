@@ -183,6 +183,8 @@ def test_map_errors(capsys):
         ("arcs-of", '{"basis": ["10"]}'),
         ("arcs-of", '{"basis": ["1100"]}'),
         ("arcs-of", '{"D": 6, "basis": ["1010"]}'),
+        ("arcs-of", '{"D": 4.0, "basis": ["1010"]}'),
+        ("arcs-of", '{"D": "4", "basis": ["1010"]}'),
         ("level-down", '{"basis": ["1000"]}'),
         ("decompose", "[[5, 5]]"),
         ("decompose", "[[1, 7]]"),
@@ -191,6 +193,9 @@ def test_map_errors(capsys):
         code, out, err = run(capsys, "map", "--op", op, "--D", "4", "--input", payload)
         assert code == 2, (op, payload)
         assert err.startswith("error:") and err.count("\n") == 1
+    payload = '{"D": "4", "basis": []}'
+    _, _, err = run(capsys, "map", "--op", "arcs-of", "--D", "4", "--input", payload)
+    assert err == "error: bad ambient dimension '4'\n"
 
 
 def test_match_found(capsys, tmp_path):

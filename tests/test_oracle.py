@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from _fixtures import isotropic
 from catspan.counting import gaussian_binomial
 from catspan.families import build_families, classify_by_lines
 from catspan.gf2 import span_masks
@@ -83,7 +84,11 @@ def test_budget_from_env(monkeypatch):
     assert budget.max_dim == 6
     assert budget.max_odd_dim == 12
     monkeypatch.setenv("CATSPAN_ORACLE_MAX_DIM", "many")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="CATSPAN_ORACLE_MAX_DIM must be an integer, got 'many'"):
+        OracleBudget.from_env()
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_DIM", "6")
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_ODD_DIM", "x")
+    with pytest.raises(ValueError, match="CATSPAN_ORACLE_MAX_ODD_DIM must be an integer, got 'x'"):
         OracleBudget.from_env()
 
 
@@ -106,10 +111,10 @@ def test_families_inside_brute_force_isotropic():
 def test_shape_counts_overshoot_families():
     # frozen counts: the line test finds strictly more shaped subspaces than
     # the builders produce, which is why membership goes through the slot peel
-    expected = {4: (13, 10, 10, 5), 6: (73, 35, 93, 21)}
+    expected = {4: (13, 10, 10, 5), 6: (73, 35, 93, 21), 8: (501, 126, 916, 84)}
     for D, (f0_shaped, f0_size, f1_shaped, f1_size) in expected.items():
         table = build_families(D)
-        iso = all_isotropic(D)
+        iso = isotropic(D)
         kinds = Counter(classify_by_lines(E)[0] for E in iso)
         assert kinds["f0"] == f0_shaped
         assert kinds["f1"] == f1_shaped
