@@ -2,11 +2,9 @@
 and exact Catalan/Narayana verification."""
 
 from .gf2 import (
-    BitVector,
     Subspace,
     intersection,
     is_isotropic,
-    span,
     span_masks,
     subspace_sum,
 )
@@ -42,9 +40,7 @@ from .conjecture import MatchResult, SuppliedFamily, fingerprint, gl_match, load
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVector",
     "Subspace",
-    "span",
     "span_masks",
     "subspace_sum",
     "is_isotropic",

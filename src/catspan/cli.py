@@ -23,8 +23,8 @@ from .noncrossing import (
     span_arcs,
     to_lagrangian,
 )
-from .oracle import OracleBudget
-from .verify import run_checks
+from .oracle import BUDGET_VARS, OracleBudget
+from .verify import ORACLE_CAPS, run_checks
 
 SUBSPACE_KINDS = ("f0", "f1", "lagrangian", "collection")
 # map ops that take a subspace; span-arcs and decompose take an arc set
@@ -143,7 +143,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     budget = OracleBudget.from_env()
-    reports, results = run_checks(args.d_min, args.d_max, oracle=args.oracle, budget=budget)
+    reports, results, skipped = run_checks(args.d_min, args.d_max, args.oracle, budget)
+    for name, field in ORACLE_CAPS.items():
+        dims = ", ".join(str(D) for D, skip in skipped if skip == name)
+        if dims:
+            cap = f"{BUDGET_VARS[field]}={getattr(budget, field)}"
+            print(f"skipped {name} at D={dims}: above {cap}", file=sys.stderr)
     first_failure: str | None = None
     for report in reports:
         for row in report.rows:
@@ -260,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

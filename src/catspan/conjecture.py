@@ -45,17 +45,10 @@ class MatchResult:
     tried: int
     reason: str | None = None
 
-    def witness_strings(self, d: int) -> list[str] | None:
-        if self.witness is None:
-            return None
-        return [mask_to_string(r, d) for r in self.witness]
-
     def to_json(self, d: int) -> dict:
-        return {
-            "found": self.found,
-            "witness": self.witness_strings(d),
-            "tried": self.tried,
-        }
+        """The witness rows as bitstrings of length d, or None."""
+        witness = None if self.witness is None else [mask_to_string(r, d) for r in self.witness]
+        return {"found": self.found, "witness": witness, "tried": self.tried}
 
 
 def load_family(path: str | Path) -> SuppliedFamily:

@@ -67,13 +67,6 @@ class CountReport:
     D: int
     rows: tuple[CountRow, ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def failures(self) -> tuple[CountRow, ...]:
-        return tuple(r for r in self.rows if not r.passed)
-
     def to_csv_rows(self) -> list[list[str]]:
         header = ["D", "label", "observed", "expected", "pass"]
         body = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import BitVector, Subspace, span_masks, subspace_key
+from .gf2 import Subspace, span_masks, subspace_key
 from .slots import F0, F1, layer, peel
 
 __all__ = [
@@ -46,11 +46,6 @@ class Line:
 
     def mask(self) -> int:
         return ((1 << (self.b - self.a + 1)) - 1) << (self.a - 1)
-
-    def vector(self, n: int) -> BitVector:
-        if self.b > n:
-            raise ValueError(f"line ({self.a}, {self.b}) does not fit in V_{n}")
-        return BitVector(n, self.mask())
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,13 +9,11 @@ ascending, which makes equality and hashing structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
-    "BitVector",
     "Subspace",
     "form_masks",
-    "span",
     "span_masks",
     "subspace_sum",
     "is_isotropic",
@@ -42,69 +40,6 @@ def string_to_mask(s: str) -> int:
         elif c != "0":
             raise ValueError(f"bad bitstring char {c!r} in {s!r}")
     return mask
-
-
-@dataclass(frozen=True, slots=True)
-class BitVector:
-    """Vector of V_n; immutable and hashable."""
-
-    n: int
-    mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"ambient dimension must be >= 0, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} does not fit in V_{self.n}")
-
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "BitVector":
-        """The basis vector e_i, 1-based."""
-        if not 1 <= i <= n:
-            raise ValueError(f"unit index {i} outside [1, {n}]")
-        return cls(n, 1 << (i - 1))
-
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVector":
-        """Sum of e_i over the given 1-based indices."""
-        mask = 0
-        for i in indices:
-            if not 1 <= i <= n:
-                raise ValueError(f"index {i} outside [1, {n}]")
-            mask ^= 1 << (i - 1)
-        return cls(n, mask)
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitVector":
-        return cls(len(s), string_to_mask(s))
-
-    def to_string(self) -> str:
-        return mask_to_string(self.mask, self.n)
-
-    def indices(self) -> tuple[int, ...]:
-        """1-based support."""
-        return tuple(k + 1 for k in range(self.n) if (self.mask >> k) & 1)
-
-    def coeff(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"index {i} outside [1, {self.n}]")
-        return (self.mask >> (i - 1)) & 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
-    def __add__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return BitVector(self.n, self.mask ^ other.mask)
-
-    def __str__(self) -> str:
-        return self.to_string()
 
 
 def form_masks(a: int, b: int) -> int:
@@ -134,7 +69,7 @@ def odd_support(n: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Subspace:
-    """Rowspace of V_n in canonical RREF.  Build via span() or span_masks()."""
+    """Rowspace of V_n in canonical RREF.  Build via span_masks()."""
 
     n: int
     rows: tuple[int, ...] = ()
@@ -142,14 +77,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    @property
-    def basis(self) -> tuple[BitVector, ...]:
-        return tuple(BitVector(self.n, r) for r in self.rows)
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -162,28 +89,14 @@ class Subspace:
                 m ^= r
         return m
 
-    def contains_mask(self, m: int) -> bool:
+    def __contains__(self, m: int) -> bool:
+        """Membership of a mask; one wider than V_n leaves a residue, so is not in E."""
         return self.residue(m) == 0
-
-    def __contains__(self, v: BitVector) -> bool:
-        if v.n != self.n:
-            raise ValueError(f"dimension mismatch: {v.n} vs {self.n}")
-        return self.contains_mask(v.mask)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {other.n} vs {self.n}")
-        return all(self.contains_mask(r) for r in other.rows)
-
-    def member_masks(self) -> Iterator[int]:
-        """All 2^dim member masks.  Small subspaces only."""
-        k = len(self.rows)
-        for sel in range(1 << k):
-            m = 0
-            for j in range(k):
-                if (sel >> j) & 1:
-                    m ^= self.rows[j]
-            yield m
+        return all(r in self for r in other.rows)
 
     def to_json(self) -> dict:
         return {"D": self.n, "basis": [mask_to_string(r, self.n) for r in self.rows]}
@@ -215,22 +128,6 @@ def span_masks(masks: Iterable[int], n: int) -> Subspace:
     if rows and rows[-1] >= (1 << n):
         raise ValueError(f"vector does not fit in V_{n}")
     return Subspace(n, rows)
-
-
-def span(vectors: Iterable[BitVector], n: int | None = None) -> Subspace:
-    """Canonical subspace spanned by the vectors; n is required when empty."""
-    vecs = list(vectors)
-    if vecs:
-        m = vecs[0].n
-        if n is not None and n != m:
-            raise ValueError(f"dimension mismatch: {n} vs {m}")
-        n = m
-        for v in vecs[1:]:
-            if v.n != n:
-                raise ValueError(f"dimension mismatch: {v.n} vs {n}")
-    elif n is None:
-        raise ValueError("empty span needs an explicit ambient dimension")
-    return span_masks((v.mask for v in vecs), n)
 
 
 def subspace_sum(E: Subspace, F: Subspace) -> Subspace:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from .gf2 import (
-    BitVector,
     Subspace,
     intersection,
     null_space,
@@ -60,11 +59,6 @@ class Arc:
         # bits a-1, a+1, ..., b-1: a 0b...10101 block shifted into place
         return ((1 << (self.b - self.a + 2)) - 1) // 3 << (self.a - 1)
 
-    def vector(self, n: int) -> BitVector:
-        if self.b > n - 1:
-            raise ValueError(f"arc ({self.a}, {self.b}) does not fit in V_{n}")
-        return BitVector(n, self.mask())
-
 
 def _pair_ok(x: Arc, y: Arc) -> bool:
     # disjoint intervals, or strictly nested either way round
@@ -106,18 +100,11 @@ class ArcSequence:
             raise ValueError("duplicate arcs")
         return cls(tuple(xs))
 
-    @property
-    def s(self) -> int:
-        return len(self.arcs)
-
     def __len__(self) -> int:
         return len(self.arcs)
 
     def __iter__(self):
         return iter(self.arcs)
-
-    def __contains__(self, arc: Arc) -> bool:
-        return arc in self.arcs
 
     def to_json(self) -> list[list[int]]:
         return [[x.a, x.b] for x in self.arcs]
@@ -221,9 +208,6 @@ class OddCollection:
 
     n: int
     members: frozenset[Subspace]
-
-    def grade(self, s: int) -> frozenset[Subspace]:
-        return frozenset(E for E in self.members if E.dim == s)
 
     def sorted_members(self) -> list[Subspace]:
         return sorted(self.members, key=subspace_key)

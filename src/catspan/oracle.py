@@ -24,6 +24,9 @@ __all__ = [
 
 MAX_ARC_SUBSET = 24  # 2^24 subsets is the hard line for the power-set filter
 
+# the environment variable that sets each OracleBudget field
+BUDGET_VARS = {"max_dim": "CATSPAN_ORACLE_MAX_DIM", "max_odd_dim": "CATSPAN_ORACLE_MAX_ODD_DIM"}
+
 
 @dataclass(frozen=True, slots=True)
 class OracleBudget:
@@ -36,16 +39,15 @@ class OracleBudget:
     def from_env(cls) -> "OracleBudget":
         """Budget with CATSPAN_ORACLE_MAX_DIM / CATSPAN_ORACLE_MAX_ODD_DIM applied."""
         kw = {}
-        for field, var in (
-            ("max_dim", "CATSPAN_ORACLE_MAX_DIM"),
-            ("max_odd_dim", "CATSPAN_ORACLE_MAX_ODD_DIM"),
-        ):
+        for field, var in BUDGET_VARS.items():
             v = os.environ.get(var)
             if v is not None:
                 try:
                     kw[field] = int(v)
                 except ValueError:
                     raise ValueError(f"{var} must be an integer, got {v!r}") from None
+                if kw[field] < 0:
+                    raise ValueError(f"{var} must be >= 0, got {v!r}")
         return cls(**kw)
 
 

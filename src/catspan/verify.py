@@ -259,27 +259,37 @@ ORACLE_CHECKS = [
     check_oracle_families,
 ]
 
+# the OracleBudget field that caps the ambient dimension of each oracle check;
+# keyed by name, which survives wrapping the checks (functools.wraps)
+ORACLE_CAPS = {
+    "check_oracle_noncrossing": "max_odd_dim",
+    "check_oracle_subspace_counts": "max_dim",
+    "check_oracle_families": "max_dim",
+}
+
 
 def run_checks(
     d_min: int,
     d_max: int,
     oracle: bool = False,
     budget: oracle_mod.OracleBudget | None = None,
-) -> tuple[list[CountReport], list[CheckResult]]:
-    """Counts plus identity checks for every even D in [d_min, d_max]."""
+) -> tuple[list[CountReport], list[CheckResult], list[tuple[int, str]]]:
+    """Counts plus identity checks for every even D in [d_min, d_max]; with
+    oracle, the (D, check name) pairs above the check's cap come back skipped."""
     if d_min < 2 or d_min % 2 or d_max % 2 or d_max < d_min:
         raise ValueError(f"need even bounds with 2 <= D-min <= D-max, got [{d_min}, {d_max}]")
     budget = budget or oracle_mod.OracleBudget()
     reports = []
     results = []
+    skipped = []
     for n in range(d_min, d_max + 1, 2):
         reports.append(verify_counts(n))
         for check in BASE_CHECKS:
             results.append(check(n))
         if oracle:
-            if n <= budget.max_odd_dim:
-                results.append(check_oracle_noncrossing(n, budget))
-            if n <= budget.max_dim:
-                results.append(check_oracle_subspace_counts(n, budget))
-                results.append(check_oracle_families(n, budget))
-    return reports, results
+            for check in ORACLE_CHECKS:
+                if n <= getattr(budget, ORACLE_CAPS[check.__name__]):
+                    results.append(check(n, budget))
+                else:
+                    skipped.append((n, check.__name__))
+    return reports, results, skipped

@@ -2,13 +2,13 @@
 
 Each subspace is given as a tuple of generating vectors, each vector as a
 tuple of 1-based indices (its support).  The generators are deliberately
-not in reduced form; span() canonicalizes, so set equality against the
-builders is an honest element-for-element comparison.
+not in reduced form; span_masks() canonicalizes, so set equality against
+the builders is an honest element-for-element comparison.
 """
 
 from functools import lru_cache
 
-from catspan.gf2 import BitVector, Subspace, span
+from catspan.gf2 import span_masks
 from catspan.noncrossing import Arc, ArcSequence
 from catspan.oracle import all_isotropic
 
@@ -20,7 +20,19 @@ def isotropic(D):
 
 
 def sub(n, *vectors):
-    return span([BitVector.from_indices(n, v) for v in vectors], n)
+    return span_masks([sum(1 << (i - 1) for i in v) for v in vectors], n)
+
+
+def members(E):
+    """All 2^dim member masks of E, by brute force over subsets of its rows."""
+    out = []
+    for sel in range(1 << E.dim):
+        m = 0
+        for j, r in enumerate(E.rows):
+            if (sel >> j) & 1:
+                m ^= r
+        out.append(m)
+    return out
 
 
 def seq(*arcs):

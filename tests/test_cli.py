@@ -99,10 +99,35 @@ def test_verify_passes(capsys):
 
 
 def test_verify_oracle_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--D-max", "4", "--oracle")
-    assert code == 0
+    code, out, err = run(capsys, "verify", "--D-max", "4", "--oracle")
+    assert code == 0 and err == ""
     assert "check oracle-noncrossing PASS" in out
     assert "check oracle-families PASS" in out
+
+
+def test_verify_oracle_reports_skips(capsys, monkeypatch):
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_DIM", "2")
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_ODD_DIM", "4")
+    code, out, err = run(capsys, "verify", "--D-max", "6", "--oracle")
+    assert code == 0
+    assert "D=4 check oracle-noncrossing PASS" in out
+    assert "D=6 check oracle-noncrossing" not in out
+    assert "D=2 check oracle-families PASS" in out
+    assert "D=4 check oracle-families" not in out
+    assert err.splitlines() == [
+        "skipped check_oracle_noncrossing at D=6: above CATSPAN_ORACLE_MAX_ODD_DIM=4",
+        "skipped check_oracle_subspace_counts at D=4, 6: above CATSPAN_ORACLE_MAX_DIM=2",
+        "skipped check_oracle_families at D=4, 6: above CATSPAN_ORACLE_MAX_DIM=2",
+    ]
+    _, plain, _ = run(capsys, "verify", "--D-max", "6")
+    assert [line for line in out.splitlines() if "oracle" not in line] == plain.splitlines()
+
+
+def test_verify_rejects_negative_oracle_cap(capsys, monkeypatch):
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_DIM", "-5")
+    code, out, err = run(capsys, "verify", "--D-max", "2", "--oracle")
+    assert code == 2 and out == ""
+    assert err == "error: CATSPAN_ORACLE_MAX_DIM must be >= 0, got '-5'\n"
 
 
 def test_map_span_arcs_and_back(capsys):
@@ -196,6 +221,18 @@ def test_map_errors(capsys):
     payload = '{"D": "4", "basis": []}'
     _, _, err = run(capsys, "map", "--op", "arcs-of", "--D", "4", "--input", payload)
     assert err == "error: bad ambient dimension '4'\n"
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    nested = "[" * 100000
+    code, out, err = run(capsys, "map", "--op", "span-arcs", "--D", "4", "--input", nested)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    path = tmp_path / "nested.json"
+    path.write_text(nested, encoding="utf-8")
+    code, out, err = run(capsys, "match", "--family", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_match_found(capsys, tmp_path):

@@ -58,7 +58,7 @@ def test_identity_match():
         assert res.witness == tuple(1 << k for k in range(d))
         assert res.tried == 1
         assert res.reason is None
-    assert gl_match(family_of(collection_as_plain(3), 3)).witness_strings(3) == [
+    assert gl_match(family_of(collection_as_plain(3), 3)).to_json(3)["witness"] == [
         "100",
         "010",
         "001",
@@ -89,7 +89,7 @@ def test_rank3_swap_translate():
     res = gl_match(family_of(moved, 3))
     assert res.found
     assert res.witness == (2, 1, 4)
-    assert res.witness_strings(3) == ["010", "100", "001"]
+    assert res.to_json(3)["witness"] == ["010", "100", "001"]
     assert res.tried == 1
     assert translate(res.witness, moved, 3) == plain
 

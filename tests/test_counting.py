@@ -61,8 +61,7 @@ def test_gaussian_binomial_pascal_rule():
 def test_count_report_shape():
     rows = (CountRow(4, "f0", 10, 10), CountRow(4, "f1", 5, 6))
     report = CountReport(4, rows)
-    assert not report.all_pass
-    assert report.failures() == (rows[1],)
+    assert [r for r in report.rows if not r.passed] == [rows[1]]
     csv_rows = report.to_csv_rows()
     assert csv_rows[0] == ["D", "label", "observed", "expected", "pass"]
     assert csv_rows[1] == ["4", "f0", "10", "10", "true"]
@@ -72,7 +71,7 @@ def test_count_report_shape():
 def test_verify_counts_small_dimensions():
     for D in range(2, 11, 2):
         report = verify_counts(D)
-        assert report.all_pass, report.failures()
+        assert [r for r in report.rows if not r.passed] == []
         labels = [r.label for r in report.rows]
         assert labels[:5] == ["f0", "f1", "lagrangian", "collection", "arcs"]
         assert f"arcs[s={D // 2}]" in labels

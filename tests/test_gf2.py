@@ -1,11 +1,11 @@
-"""Core GF(2) linear algebra: vectors, the form, canonical subspaces."""
+"""Core GF(2) linear algebra: mask vectors, the form, canonical subspaces."""
 
 import random
 
 import pytest
 
+from _fixtures import members
 from catspan.gf2 import (
-    BitVector,
     Subspace,
     form_masks,
     intersection,
@@ -13,7 +13,6 @@ from catspan.gf2 import (
     mask_to_string,
     null_space,
     odd_support,
-    span,
     span_masks,
     string_to_mask,
     subspace_key,
@@ -41,47 +40,11 @@ def test_bitstring_roundtrip_random():
         assert string_to_mask(s) == m
 
 
-def test_bitvector_constructors():
-    v = BitVector.unit(4, 3)
-    assert v.mask == 0b100
-    assert v.indices() == (3,)
-    assert v.coeff(3) == 1 and v.coeff(2) == 0
-    assert BitVector.from_indices(4, [1, 3]).to_string() == "1010"
-    assert BitVector.from_string("0110").mask == 0b0110
-    assert str(BitVector.from_string("0110")) == "0110"
-    assert BitVector.zero(5).is_zero
-    assert not BitVector.unit(5, 1).is_zero
-
-
-def test_bitvector_validation():
-    with pytest.raises(ValueError):
-        BitVector(-1)
-    with pytest.raises(ValueError):
-        BitVector(2, 4)
-    with pytest.raises(ValueError):
-        BitVector.unit(4, 0)
-    with pytest.raises(ValueError):
-        BitVector.unit(4, 5)
-    with pytest.raises(ValueError):
-        BitVector.from_indices(4, [5])
-    with pytest.raises(ValueError):
-        BitVector.unit(4, 1).coeff(5)
-
-
-def test_vector_addition():
-    x = BitVector.from_indices(4, [1, 2])
-    y = BitVector.from_indices(4, [2, 3])
-    assert (x + y).indices() == (1, 3)
-    assert (x + x).is_zero
-    with pytest.raises(ValueError):
-        x + BitVector.unit(6, 1)
-
-
 def test_form_neighbour_table():
     n = 8
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            got = form_masks(BitVector.unit(n, i).mask, BitVector.unit(n, j).mask)
+            got = form_masks(1 << (i - 1), 1 << (j - 1))
             assert got == (1 if abs(i - j) == 1 else 0)
 
 
@@ -149,22 +112,15 @@ def test_membership_matches_member_masks():
     for _ in range(100):
         n = 6
         E = span_masks([rng.randrange(1 << n) for _ in range(3)], n)
-        members = set(E.member_masks())
-        assert len(members) == 1 << E.dim
+        inside = set(members(E))
+        assert len(inside) == 1 << E.dim
         for x in range(1 << n):
-            assert E.contains_mask(x) == (x in members)
+            assert (x in E) == (x in inside)
 
 
 def test_span_input_validation():
     with pytest.raises(ValueError):
         span_masks([0b100], 2)
-    with pytest.raises(ValueError):
-        span([])
-    with pytest.raises(ValueError):
-        span([BitVector.unit(2, 1), BitVector.unit(4, 1)])
-    with pytest.raises(ValueError):
-        span([BitVector.unit(2, 1)], n=4)
-    assert span([], n=3) == Subspace.zero(3)
 
 
 def test_intersection_and_dim_formula_exhaustive_f2_3():
@@ -173,8 +129,8 @@ def test_intersection_and_dim_formula_exhaustive_f2_3():
     for E in subs:
         for F in subs:
             got = intersection(E, F)
-            want = set(E.member_masks()) & set(F.member_masks())
-            assert set(got.member_masks()) == want
+            want = set(members(E)) & set(members(F))
+            assert set(members(got)) == want
             total = subspace_sum(E, F)
             assert got.dim + total.dim == E.dim + F.dim
 
@@ -185,20 +141,22 @@ def test_intersection_random_v6():
         E = span_masks([rng.randrange(64) for _ in range(3)], 6)
         F = span_masks([rng.randrange(64) for _ in range(3)], 6)
         got = intersection(E, F)
-        want = set(E.member_masks()) & set(F.member_masks())
-        assert set(got.member_masks()) == want
+        want = set(members(E)) & set(members(F))
+        assert set(members(got)) == want
 
 
 def test_subspace_predicates():
     E = span_masks([0b0111, 0b0100], 4)
-    assert BitVector.from_string("1100") in E
-    assert BitVector.from_string("1000") not in E
-    assert BitVector.from_string("0010") in E
+    assert string_to_mask("1100") in E
+    assert string_to_mask("1000") not in E
+    assert string_to_mask("0010") in E
+    assert 0 in E
+    # a mask wider than V_4 leaves a residue, so it is not a member
+    assert 1 << 4 not in E
+    assert 0b10011 not in E
     assert E.contains_subspace(span_masks([0b0100], 4))
     assert not E.contains_subspace(span_masks([0b1000], 4))
     assert E == span_masks([0b0011, 0b0100], 4)
-    with pytest.raises(ValueError):
-        BitVector.unit(6, 1) in E
     with pytest.raises(ValueError):
         E.contains_subspace(span_masks([1], 6))
 
@@ -210,8 +168,8 @@ def test_is_isotropic_examples_and_oracle():
     with pytest.raises(ValueError):
         is_isotropic(span_masks([1], 3))
     for E in all_subspaces(4):
-        members = list(E.member_masks())
-        want = all(form_masks(x, y) == 0 for x in members for y in members)
+        xs = members(E)
+        want = all(form_masks(x, y) == 0 for x in xs for y in xs)
         assert is_isotropic(E) == want
 
 
@@ -226,7 +184,7 @@ def test_null_space_against_direct_enumeration():
             for x in range(1 << width)
             if all((m & x).bit_count() % 2 == 0 for m in masks)
         }
-        assert set(span_masks(basis, width).member_masks()) == direct
+        assert set(members(span_masks(basis, width))) == direct
         assert len(basis) == width - span_masks(masks, width).dim
     with pytest.raises(ValueError):
         null_space([0b100], 2)
@@ -272,9 +230,9 @@ def test_symplectic_space_parts():
     assert odd_support(n) << 1 == 0b101010
     assert odd.dim == 3
     assert even.dim == 3
-    assert intersection(odd, even).is_zero
-    assert BitVector(n, (1 << n) - 1).indices() == (1, 2, 3, 4, 5, 6)
-    assert BitVector.unit(n, 3).mask & odd_support(n)
-    assert form_masks(BitVector.unit(n, 2).mask, BitVector.unit(n, 3).mask) == 1
+    assert intersection(odd, even) == Subspace.zero(n)
+    assert subspace_sum(odd, even).dim == n
+    assert 1 << 2 & odd_support(n)
+    assert form_masks(1 << 1, 1 << 2) == 1
     assert is_isotropic(odd)
     assert is_isotropic(even)

@@ -1,12 +1,15 @@
-"""Package imports: no private names across modules, no stale exports."""
+"""Package imports: no private names across modules, no stale exports,
+and README's Python examples run against the package as it is."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import catspan
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "catspan"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "catspan"
 
 
 def test_no_private_imports_across_modules():
@@ -33,3 +36,11 @@ def test_every_export_resolves():
         if not hasattr(mod, name)
     ]
     assert stale == []
+
+
+def test_readme_python_blocks_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -90,6 +90,11 @@ def test_budget_from_env(monkeypatch):
     monkeypatch.setenv("CATSPAN_ORACLE_MAX_ODD_DIM", "x")
     with pytest.raises(ValueError, match="CATSPAN_ORACLE_MAX_ODD_DIM must be an integer, got 'x'"):
         OracleBudget.from_env()
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_ODD_DIM", "-1")
+    with pytest.raises(ValueError, match="CATSPAN_ORACLE_MAX_ODD_DIM must be >= 0, got '-1'"):
+        OracleBudget.from_env()
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_ODD_DIM", "0")
+    assert OracleBudget.from_env().max_odd_dim == 0
 
 
 def test_noncrossing_direct_agrees():
