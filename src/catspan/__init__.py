@@ -33,7 +33,7 @@ from .noncrossing import (
     span_arcs,
     to_lagrangian,
 )
-from .counting import CountReport, catalan, gaussian_binomial, narayana, verify_counts
+from .counting import catalan, gaussian_binomial, narayana, verify_counts
 from .oracle import OracleBudget, all_isotropic, all_subspaces, noncrossing_direct
 from .conjecture import MatchResult, SuppliedFamily, fingerprint, gl_match, load_family
 
@@ -69,7 +69,6 @@ __all__ = [
     "catalan",
     "narayana",
     "gaussian_binomial",
-    "CountReport",
     "verify_counts",
     "OracleBudget",
     "all_subspaces",

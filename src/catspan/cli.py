@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .conjecture import gl_match, load_family
 from .counting import verify_counts
@@ -77,91 +78,86 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sorted_subspaces(kind: str, n: int) -> list[Subspace]:
-    if kind == "collection":
-        return build_collection(n).sorted_members()
-    table = build_families(n)
-    pick = {"f0": table.f0, "f1": table.f1, "lagrangian": table.f0_lagrangian}[kind]
-    return sorted(pick, key=subspace_key)
+def _members(kind: str, n: int) -> list:
+    """JSON forms of one table's members in canonical order: arc sets as
+    enumerated, subspaces sorted by subspace_key."""
+    if kind == "arcs":
+        members = enumerate_noncrossing(n)
+    elif kind == "collection":
+        members = build_collection(n).sorted_members()
+    else:
+        table = build_families(n)
+        pick = {"f0": table.f0, "f1": table.f1, "lagrangian": table.f0_lagrangian}[kind]
+        members = sorted(pick, key=subspace_key)
+    return [m.to_json() for m in members]
 
 
-def _csv_out(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _parts(kind: str, m) -> list:
+    """The arcs of an arc set's JSON form, or the basis strings of a subspace's;
+    their number is the member's grade."""
+    return m if kind == "arcs" else m["basis"]
+
+
+def _csv_header(kind: str) -> list[str]:
+    return ["D", "kind", "s", "arcs"] if kind == "arcs" else ["D", "kind", "dim", "basis"]
+
+
+def _csv_rows(kind: str, n: int, members: list) -> Iterator[list]:
+    for m in members:
+        parts = _parts(kind, m)
+        cells = [f"{a}-{b}" for a, b in parts] if kind == "arcs" else parts
+        yield [n, kind, len(parts), "|".join(cells)]
+
+
+def _text_line(kind: str, m) -> str:
+    if kind == "arcs":
+        return f"s={len(m)} arcs={' '.join(f'({a},{b})' for a, b in m) or '-'}"
+    return f"dim={len(m['basis'])} basis={'|'.join(m['basis']) or '-'}"
+
+
+def _write_csv(fh, header: list[str], rows: Iterable[list]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _subspace_csv(kind: str, n: int, members: list[Subspace]) -> list[list[str]]:
-    out = [["D", "kind", "dim", "basis"]]
-    for E in members:
-        basis = "|".join(s for s in (E.to_json()["basis"]))
-        out.append([str(n), kind, str(E.dim), basis])
-    return out
-
-
-def _arcs_csv(n: int, seqs: list[ArcSequence]) -> list[list[str]]:
-    out = [["D", "kind", "s", "arcs"]]
-    for seq in seqs:
-        arcs = "|".join(f"{x.a}-{x.b}" for x in seq)
-        out.append([str(n), "arcs", str(len(seq)), arcs])
-    return out
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    n = args.D
-    if args.kind == "arcs":
-        seqs = [
-            seq
-            for seq in enumerate_noncrossing(n)
-            if args.grade is None or len(seq) == args.grade
-        ]
-        if args.format == "json":
-            print(json.dumps({"D": n, "kind": "arcs", "members": [s.to_json() for s in seqs]}))
-        elif args.format == "csv":
-            sys.stdout.write(_csv_out(_arcs_csv(n, seqs)))
-        else:
-            for seq in seqs:
-                arcs = " ".join(f"({x.a},{x.b})" for x in seq) or "-"
-                print(f"s={len(seq)} arcs={arcs}")
-        return 0
+    n, kind = args.D, args.kind
     members = [
-        E
-        for E in _sorted_subspaces(args.kind, n)
-        if args.grade is None or E.dim == args.grade
+        m
+        for m in _members(kind, n)
+        if args.grade is None or len(_parts(kind, m)) == args.grade
     ]
     if args.format == "json":
-        print(json.dumps({"D": n, "kind": args.kind, "members": [E.to_json() for E in members]}))
+        print(json.dumps({"D": n, "kind": kind, "members": members}))
     elif args.format == "csv":
-        sys.stdout.write(_csv_out(_subspace_csv(args.kind, n, members)))
+        _write_csv(sys.stdout, _csv_header(kind), _csv_rows(kind, n, members))
     else:
-        for E in members:
-            basis = "|".join(E.to_json()["basis"]) or "-"
-            print(f"dim={E.dim} basis={basis}")
+        for m in members:
+            print(_text_line(kind, m))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     budget = OracleBudget.from_env()
-    reports, results, skipped = run_checks(args.d_min, args.d_max, args.oracle, budget)
+    counts, results, skipped = run_checks(args.d_min, args.d_max, args.oracle, budget)
     for name, field in ORACLE_CAPS.items():
         dims = ", ".join(str(D) for D, skip in skipped if skip == name)
         if dims:
             cap = f"{BUDGET_VARS[field]}={getattr(budget, field)}"
             print(f"skipped {name} at D={dims}: above {cap}", file=sys.stderr)
     first_failure: str | None = None
-    for report in reports:
-        for row in report.rows:
-            word = "PASS" if row.passed else "FAIL"
-            print(
-                f"D={row.D} count {row.label} observed={row.observed} "
-                f"expected={row.expected} {word}"
+    for row in counts:
+        word = "PASS" if row.passed else "FAIL"
+        print(
+            f"D={row.D} count {row.label} observed={row.observed} "
+            f"expected={row.expected} {word}"
+        )
+        if not row.passed and first_failure is None:
+            first_failure = (
+                f"D={row.D} count {row.label}: observed {row.observed}, "
+                f"expected {row.expected}"
             )
-            if not row.passed and first_failure is None:
-                first_failure = (
-                    f"D={row.D} count {row.label}: observed {row.observed}, "
-                    f"expected {row.expected}"
-                )
     for res in results:
         word = "PASS" if res.ok else "FAIL"
         print(f"D={res.D} check {res.name} {word}")
@@ -206,48 +202,44 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0 if result.found else 1
 
 
+def _export(out: Path, stem: str, header: list[str], rows: Iterable[list], obj: dict) -> None:
+    """Write one table as STEM.csv, then STEM.json, streaming into each file."""
+    path = out / f"{stem}.csv"
+    with path.open("w", encoding="utf-8") as fh:
+        _write_csv(fh, header, rows)
+    print(f"wrote {path}")
+    path = out / f"{stem}.json"
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     n = args.D
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    table = build_families(n)
-    coll = build_collection(n)
-    seqs = list(enumerate_noncrossing(n))
-    report = verify_counts(n)
-
-    files = {
-        "families.json": json.dumps(table.to_json(), indent=2) + "\n",
-        "collection.json": json.dumps(coll.to_json(), indent=2) + "\n",
-        "arcs.json": json.dumps({"D": n, "members": [s.to_json() for s in seqs]}, indent=2) + "\n",
-        "counts.json": json.dumps(
-            {
-                "D": n,
-                "rows": [
-                    {
-                        "D": r.D,
-                        "label": r.label,
-                        "observed": r.observed,
-                        "expected": r.expected,
-                        "pass": r.passed,
-                    }
-                    for r in report.rows
-                ],
-            },
-            indent=2,
-        )
-        + "\n",
-        "families.csv": _csv_out(
-            _subspace_csv("f0", n, table.sorted_f0()) + _subspace_csv("f1", n, table.sorted_f1())[1:]
-        ),
-        "collection.csv": _csv_out(_subspace_csv("collection", n, coll.sorted_members())),
-        "arcs.csv": _csv_out(_arcs_csv(n, seqs)),
-        "counts.csv": _csv_out(report.to_csv_rows()),
-    }
-    for name in sorted(files):
-        path = out / name
-        path.write_text(files[name], encoding="utf-8")
-        print(f"wrote {path}")
+    # one table at a time, in file-name order
+    for kind in ("arcs", "collection"):
+        members = _members(kind, n)
+        _export(out, kind, _csv_header(kind), _csv_rows(kind, n, members), {"D": n, "members": members})
+    counts = verify_counts(n)
+    _export(
+        out,
+        "counts",
+        ["D", "label", "observed", "expected", "pass"],
+        ([r.D, r.label, r.observed, r.expected, str(r.passed).lower()] for r in counts),
+        {
+            "D": n,
+            "rows": [
+                {"D": r.D, "label": r.label, "observed": r.observed, "expected": r.expected, "pass": r.passed}
+                for r in counts
+            ],
+        },
+    )
+    f0, f1 = _members("f0", n), _members("f1", n)
+    rows = chain(_csv_rows("f0", n, f0), _csv_rows("f1", n, f1))
+    _export(out, "families", _csv_header("f0"), rows, {"D": n, "f0": f0, "f1": f1})
     return 0
 
 

@@ -13,7 +13,6 @@ __all__ = [
     "narayana",
     "gaussian_binomial",
     "CountRow",
-    "CountReport",
     "verify_counts",
 ]
 
@@ -60,23 +59,7 @@ class CountRow:
         return self.observed == self.expected
 
 
-@dataclass(frozen=True, slots=True)
-class CountReport:
-    """Observed vs expected cardinalities for one ambient dimension."""
-
-    D: int
-    rows: tuple[CountRow, ...]
-
-    def to_csv_rows(self) -> list[list[str]]:
-        header = ["D", "label", "observed", "expected", "pass"]
-        body = [
-            [str(r.D), r.label, str(r.observed), str(r.expected), str(r.passed).lower()]
-            for r in self.rows
-        ]
-        return [header] + body
-
-
-def verify_counts(D: int) -> CountReport:
+def verify_counts(D: int) -> tuple[CountRow, ...]:
     """Compare every table built at ambient dimension D with its closed form.
 
     Level-0 family: C(D+1, D/2).  Level-1: C(D+1, (D-2)/2).  Lagrangian
@@ -118,4 +101,4 @@ def verify_counts(D: int) -> CountReport:
                 narayana(d + 1, s + 1),
             )
         )
-    return CountReport(D, tuple(rows))
+    return tuple(rows)

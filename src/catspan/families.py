@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import Subspace, span_masks, subspace_key
+from .gf2 import Subspace, span_masks
 from .slots import F0, F1, layer, peel
 
 __all__ = [
@@ -57,19 +57,6 @@ class FamilyTable:
     f1: frozenset[Subspace]
     f0_lagrangian: frozenset[Subspace]
     f0_sub: frozenset[Subspace]
-
-    def sorted_f0(self) -> list[Subspace]:
-        return sorted(self.f0, key=subspace_key)
-
-    def sorted_f1(self) -> list[Subspace]:
-        return sorted(self.f1, key=subspace_key)
-
-    def to_json(self) -> dict:
-        return {
-            "D": self.n,
-            "f0": [E.to_json() for E in self.sorted_f0()],
-            "f1": [E.to_json() for E in self.sorted_f1()],
-        }
 
 
 @lru_cache(maxsize=None)

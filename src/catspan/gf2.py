@@ -28,7 +28,8 @@ __all__ = [
 
 def mask_to_string(mask: int, n: int) -> str:
     """Render a mask as n chars of 0/1; leftmost char is the e_1 coefficient."""
-    return "".join("1" if (mask >> k) & 1 else "0" for k in range(n))
+    # the sentinel bit n keeps the leading zeros; reversed, it is cut off
+    return format(mask & ((1 << n) - 1) | (1 << n), "b")[:0:-1]
 
 
 def string_to_mask(s: str) -> int:

@@ -212,9 +212,6 @@ class OddCollection:
     def sorted_members(self) -> list[Subspace]:
         return sorted(self.members, key=subspace_key)
 
-    def to_json(self) -> dict:
-        return {"D": self.n, "members": [E.to_json() for E in self.sorted_members()]}
-
 
 @lru_cache(maxsize=None)
 def build_collection(n: int) -> OddCollection:

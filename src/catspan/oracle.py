@@ -71,25 +71,14 @@ def _cells(n: int, k: int):
             yield tuple(rows)
 
 
-def all_subspaces(
-    n: int,
-    dim_filter: int | None = None,
-    budget: OracleBudget | None = None,
-) -> list[Subspace]:
+def all_subspaces(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
     """Every subspace of an n-dimensional space, by direct cell enumeration."""
     budget = budget or OracleBudget()
     if n < 0:
         raise ValueError(f"ambient dimension must be >= 0, got {n}")
     if n > budget.max_dim:
         raise ValueError(f"ambient dimension {n} exceeds oracle budget {budget.max_dim}")
-    dims = range(n + 1) if dim_filter is None else [dim_filter]
-    out = []
-    for k in dims:
-        if not 0 <= k <= n:
-            raise ValueError(f"dimension filter {k} outside [0, {n}]")
-        for rows in _cells(n, k):
-            out.append(Subspace(n, rows))
-    return out
+    return [Subspace(n, rows) for k in range(n + 1) for rows in _cells(n, k)]
 
 
 def _rows_isotropic(rows: tuple[int, ...]) -> bool:
@@ -100,15 +89,11 @@ def _rows_isotropic(rows: tuple[int, ...]) -> bool:
     return True
 
 
-def all_isotropic(
-    n: int,
-    dim_filter: int | None = None,
-    budget: OracleBudget | None = None,
-) -> list[Subspace]:
+def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
     """Every isotropic subspace of V_n."""
     if n % 2:
         raise ValueError(f"ambient dimension must be even, got {n}")
-    return [E for E in all_subspaces(n, dim_filter, budget) if _rows_isotropic(E.rows)]
+    return [E for E in all_subspaces(n, budget) if _rows_isotropic(E.rows)]
 
 
 def noncrossing_direct(n: int, budget: OracleBudget | None = None) -> list[ArcSequence]:

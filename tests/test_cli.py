@@ -1,12 +1,22 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from catspan.cli import main
 from catspan.conjecture import collection_as_plain
 from catspan.gf2 import mask_to_string, subspace_key
+from catspan.oracle import BUDGET_VARS
+
+# digests of the benchmark's outputs, pinned by the perfbench harness
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(capsys, *argv):
@@ -295,6 +305,14 @@ def test_export_writes_all_tables(capsys, tmp_path):
     families = json.loads((out_dir / "families.json").read_text(encoding="utf-8"))
     assert families["D"] == 4
     assert len(families["f0"]) == 10 and len(families["f1"]) == 5
+    assert families["f0"][0] == {"D": 4, "basis": []}
+    dims = [len(entry["basis"]) for entry in families["f0"]]
+    assert dims == sorted(dims)
+
+    collection = json.loads((out_dir / "collection.json").read_text(encoding="utf-8"))
+    assert collection["D"] == 4
+    assert len(collection["members"]) == 5
+    assert collection["members"][0] == {"D": 4, "basis": []}
 
     counts = json.loads((out_dir / "counts.json").read_text(encoding="utf-8"))
     assert all(row["pass"] for row in counts["rows"])
@@ -306,6 +324,41 @@ def test_export_writes_all_tables(capsys, tmp_path):
     families_csv = (out_dir / "families.csv").read_text(encoding="utf-8").splitlines()
     assert families_csv[0] == "D,kind,dim,basis"
     assert len(families_csv) == 16
+
+
+def test_output_bytes_match_the_benchmark_digests(capsys, tmp_path, monkeypatch):
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    for var in BUDGET_VARS.values():
+        monkeypatch.delenv(var, raising=False)
+
+    code, out, _ = run(capsys, "export", "--D", "4", "--out", "out")
+    assert code == 0
+    pinned = expected["export --D 4 --out out"]
+    assert sha256(out.encode()) == pinned["stdout"]
+    written = {p.name: sha256(p.read_bytes()) for p in (tmp_path / "out").iterdir()}
+    assert written == pinned["files"]
+
+    code, out, _ = run(capsys, "verify", "--D-max", "4", "--oracle")
+    assert code == 0
+    assert sha256(out.encode()) == expected["verify --D-max 4 --oracle"]["stdout"]
+
+    # enumerate prints the same CSV that export writes
+    code, _, _ = run(capsys, "export", "--D", "6", "--out", "out6")
+    assert code == 0
+
+    def enumerated(kind):
+        code, out, _ = run(capsys, "enumerate", "--kind", kind, "--D", "6", "--format", "csv")
+        assert code == 0
+        return out
+
+    def exported(name):
+        return (tmp_path / "out6" / name).read_text(encoding="utf-8")
+
+    assert enumerated("collection") == exported("collection.csv")
+    assert enumerated("arcs") == exported("arcs.csv")
+    f1_rows = enumerated("f1").split("\n", 1)[1]
+    assert enumerated("f0") + f1_rows == exported("families.csv")
 
 
 def test_export_deterministic(capsys, tmp_path):

@@ -1,15 +1,12 @@
-"""Catalan, Narayana, Gaussian binomials, and the counting report."""
+"""Catalan, Narayana, Gaussian binomials, and the count rows."""
+
+import json
 
 import pytest
 
-from catspan.counting import (
-    CountReport,
-    CountRow,
-    catalan,
-    gaussian_binomial,
-    narayana,
-    verify_counts,
-)
+from catspan import counting
+from catspan.cli import main
+from catspan.counting import catalan, gaussian_binomial, narayana, verify_counts
 
 
 def test_catalan_values():
@@ -58,21 +55,30 @@ def test_gaussian_binomial_pascal_rule():
             assert lhs == rhs
 
 
-def test_count_report_shape():
-    rows = (CountRow(4, "f0", 10, 10), CountRow(4, "f1", 5, 6))
-    report = CountReport(4, rows)
-    assert [r for r in report.rows if not r.passed] == [rows[1]]
-    csv_rows = report.to_csv_rows()
-    assert csv_rows[0] == ["D", "label", "observed", "expected", "pass"]
-    assert csv_rows[1] == ["4", "f0", "10", "10", "true"]
-    assert csv_rows[2] == ["4", "f1", "5", "6", "false"]
+def test_planted_catalan_fault_reaches_the_export(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(counting, "catalan", lambda n: catalan(n) + 1)
+    assert main(["export", "--D", "4", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "counts.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[:6] == [
+        "D,label,observed,expected,pass",
+        "4,f0,10,10,true",
+        "4,f1,5,5,true",
+        "4,lagrangian,5,6,false",
+        "4,collection,5,6,false",
+        "4,arcs,5,6,false",
+    ]
+    assert all(line.endswith(",true") for line in lines[6:])
+    rows = json.loads((tmp_path / "counts.json").read_text(encoding="utf-8"))["rows"]
+    assert [r["label"] for r in rows if not r["pass"]] == ["lagrangian", "collection", "arcs"]
+    assert rows[2] == {"D": 4, "label": "lagrangian", "observed": 5, "expected": 6, "pass": False}
 
 
 def test_verify_counts_small_dimensions():
     for D in range(2, 11, 2):
-        report = verify_counts(D)
-        assert [r for r in report.rows if not r.passed] == []
-        labels = [r.label for r in report.rows]
+        rows = verify_counts(D)
+        assert [r for r in rows if not r.passed] == []
+        labels = [r.label for r in rows]
         assert labels[:5] == ["f0", "f1", "lagrangian", "collection", "arcs"]
         assert f"arcs[s={D // 2}]" in labels
     with pytest.raises(ValueError):

@@ -195,13 +195,3 @@ def test_level_bijection_exhaustive():
             images[E0] = E
             assert level_up(E0) == E
         assert set(images) == set(table.f0_sub)
-
-
-def test_family_table_json():
-    table = build_families(4)
-    obj = table.to_json()
-    assert obj["D"] == 4
-    assert len(obj["f0"]) == 10 and len(obj["f1"]) == 5
-    assert obj["f0"][0] == {"D": 4, "basis": []}
-    dims = [len(entry["basis"]) for entry in obj["f0"]]
-    assert dims == sorted(dims)

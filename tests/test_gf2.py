@@ -40,6 +40,18 @@ def test_bitstring_roundtrip_random():
         assert string_to_mask(s) == m
 
 
+def test_mask_to_string_matches_per_bit_definition():
+    # character k is bit k of the mask; bits at n and above are dropped
+    rng = random.Random(5)
+    assert mask_to_string(0, 0) == ""
+    for n in range(21):
+        for m in [0, (1 << n) - 1, 1 << n, (1 << (n + 6)) - 1] + [
+            rng.randrange(1 << (n + 6)) for _ in range(20)
+        ]:
+            want = "".join("1" if (m >> k) & 1 else "0" for k in range(n))
+            assert mask_to_string(m, n) == want, (m, n)
+
+
 def test_form_neighbour_table():
     n = 8
     for i in range(1, n + 1):

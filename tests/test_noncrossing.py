@@ -204,13 +204,6 @@ def test_collection_counts_and_grades():
         build_collection(3)
 
 
-def test_collection_json():
-    obj = build_collection(4).to_json()
-    assert obj["D"] == 4
-    assert len(obj["members"]) == 5
-    assert obj["members"][0] == {"D": 4, "basis": []}
-
-
 def test_span_arcs_examples():
     assert span_arcs(seq((1, 3)), 4) == sub(4, (1, 3))
     assert span_arcs(ArcSequence(), 4) == Subspace.zero(4)

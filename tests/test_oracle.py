@@ -37,12 +37,8 @@ def test_all_subspaces_counts():
             assert span_masks(E.rows, n) == E
 
 
-def test_all_subspaces_dim_filter():
-    assert len(all_subspaces(4, dim_filter=2)) == 35
-    with pytest.raises(ValueError):
-        all_subspaces(4, dim_filter=5)
-    with pytest.raises(ValueError):
-        all_subspaces(4, dim_filter=-1)
+def test_all_subspaces_by_dimension():
+    assert Counter(E.dim for E in all_subspaces(4))[2] == 35
     with pytest.raises(ValueError):
         all_subspaces(-1)
 
