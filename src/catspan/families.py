@@ -2,7 +2,8 @@
 
 The level-0 and level-1 families are generated by the slot induction of
 the slots module: a member of the smaller space is re-embedded with a gap
-opened at index i and the new basis vector e_i is adjoined.  Lines spanned
+opened at index i and the new basis vector e_i is adjoined.  Each member is
+made once, from its canonical parent (see the slots module).  Lines spanned
 by consecutive-run vectors e_a + ... + e_b recover the structure: level-0
 members decompose into odd-length runs only, level-1 members carry exactly
 one even-length run, and dropping it is a bijection onto the sub-Lagrangian
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf2 import Subspace, span_masks
-from .slots import F0, F1, layer, peel
+from .slots import F0, F1, Rule, first_slot, peel
 
 __all__ = [
     "Line",
@@ -59,9 +60,25 @@ class FamilyTable:
     f0_sub: frozenset[Subspace]
 
 
+def _children(rule: Rule, n: int, below: frozenset[Subspace]) -> set[Subspace]:
+    """The base of V_n, and step(i, P) for the slots i up to first_slot(P) + 1
+    (every slot when P is the base): each member of V_n exactly once."""
+    members = {rule.base(n)}
+    candidates = 1
+    for P in below:
+        f = first_slot(P, rule)
+        top = n if f is None else min(n, f + 1)
+        members.update(rule.step(i, P, n) for i in range(1, top + 1))
+        candidates += top
+    if len(members) != candidates:
+        raise AssertionError(f"{candidates} candidates for {len(members)} members in V_{n}")
+    return members
+
+
 @lru_cache(maxsize=None)
 def build_families(n: int) -> FamilyTable:
-    """Generate both family levels at ambient dimension n by induction."""
+    """Generate both family levels at ambient dimension n by induction,
+    each member once from its canonical parent."""
     if n < 0 or n % 2:
         raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
     if n == 0:
@@ -69,8 +86,8 @@ def build_families(n: int) -> FamilyTable:
         return FamilyTable(0, frozenset([zero]), frozenset(), frozenset([zero]), frozenset())
 
     prev = build_families(n - 2)
-    f0 = layer(F0.step, n, prev.f0, F0.base(n))
-    f1 = layer(F1.step, n, prev.f1, F1.base(n))
+    f0 = _children(F0, n, prev.f0)
+    f1 = _children(F1, n, prev.f1)
 
     half = n // 2
     lag = frozenset(E for E in f0 if E.dim == half)

@@ -125,6 +125,7 @@ def seq_key(seq: ArcSequence) -> tuple:
     return (len(seq), tuple((x.a, x.b) for x in seq))
 
 
+@lru_cache(maxsize=None)
 def enumerate_noncrossing(n: int) -> tuple[ArcSequence, ...]:
     """All noncrossing arc sets over odd indices in [1, n-1], canonically sorted."""
     if n < 0 or n % 2:

@@ -1,9 +1,36 @@
 """The slot induction shared by the families, the collection and the arc sets.
 
 A member of V_n is the base of its level, or embed_i(P) + <e_i> for a slot
-i in [1, n] and a member P of V_{n-2}.  The builders run this forward one
-layer at a time; the peel runs it backwards from one subspace, and a replay
-folds the peeled slots forward again, from another base or another step.
+i in [1, n] and a member P of V_{n-2}.  The builders run this forward, the
+collection one plain layer at a time and the families from canonical
+parents; the peel runs it backwards from one subspace, and a replay folds
+the peeled slots forward again, from another base or another step.
+
+Slot i fits E when E = embed_i(P) + <e_i> for some P: every vector of E has
+x_{i-1} = x_{i+1} (coordinates outside V_n read 0), and e_i is in E unless
+slot i adjoins nothing.  Deleting coordinates i and i+1 then gives P back.
+first_slot(E) is the least slot that fits, the one the peel takes, and the
+P it leaves is E's canonical parent.  The families make each member once,
+from its canonical parent: the children of P in V_n are step(i, P) for i in
+1..min(n, first_slot(P) + 1), and for every slot i when P is the base.
+
+Why that emits each member exactly once.  Let C = step(i, P) at level 0 or
+1, where every slot adjoins.  Slot i fits C: the fan-out gives coordinates
+i-1, i and i+1 of embed_i(p) one value, and e_i adds only to coordinate i.
+Slot i-1 does not fit, since e_i is in C and has x_{i-2} = 0 != x_i = 1.  A
+slot j <= i-2 reads coordinates j-1..j+1 below i, where embed_i changes
+nothing and e_i is zero, so j fits C exactly when it fits P: the slots
+commute.  So when i <= first_slot(P) + 1, or P is the base (no slot fits
+it), first_slot(C) = i and C's canonical parent is P.  The pair (i, P) is
+read off C, and no member comes out twice.  The number of children depends
+only on first_slot(P), and the count over first slots gives C(D+1, D/2)
+members at level 0 and C(D+1, (D-2)/2) at level 1, the paper's closed forms
+(the tests run it for every even D <= 200).  Distinct members that many are
+the whole level, so every member is a child of its canonical parent.  That
+is the missing step of the peel's greedy completeness: taking the first
+slot that fits never leaves the level, and the peel of a member ends at the
+base.  The collection keeps the plain layer: an even slot adjoins nothing,
+so slot i-1 can fit a child there and the bound does not hold.
 """
 
 from __future__ import annotations
@@ -12,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .gf2 import Subspace, odd_support, span_masks
 
-__all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "replay", "peel"]
+__all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "replay", "first_slot", "peel"]
 
 T = TypeVar("T")
 
@@ -88,38 +115,45 @@ def replay(slots: list[int], x: T, n: int, step: Callable[[int, T, int], T]) -> 
     return x
 
 
+def first_slot(E: Subspace, rule: Rule) -> int | None:
+    """The first slot i with E = embed_i(P) + <e_i>, the one the peel takes:
+    every row has x_{i-1} = x_{i+1}, and e_i is in E unless slot i adjoins
+    nothing.  In canonical RREF, e_i is in E exactly when it is a row.  None
+    when E has the dimension of the base, or when no slot fits."""
+    rows = E.rows
+    if len(rows) <= rule.full_base:
+        return None
+    # bit i-1 of ragged is set when some row has x_{i-1} != x_{i+1}
+    ragged = units = 0
+    for r in rows:
+        ragged |= (r << 1) ^ (r >> 1)
+        if not r & (r - 1):
+            units |= r
+    if rule.odd_only:
+        units |= odd_support(E.n) << 1  # even slots adjoin nothing
+    fits = units & ~ragged
+    return (fits & -fits).bit_length() or None
+
+
 def peel(E: Subspace, rule: Rule) -> list[int] | None:
     """The slots that build E under rule (F0, F1 or COLLECTION), top first.
 
-    Each step takes the first slot i with E = embed_i(P) + <e_i>: every row
-    has x_{i-1} = x_{i+1} (coordinates outside V_n read 0), and e_i is in E
-    unless slot i adjoins nothing.  Deleting coordinates i and i+1 gives P,
-    one dimension less if e_i was adjoined.  The peel runs down to the
-    dimension of the base and returns None unless it ends at the base.
+    Each step takes first_slot(E) and deletes coordinates i and i+1, which
+    gives P, one dimension less if e_i was adjoined.  The peel runs down to
+    the dimension of the base and returns None unless it ends at the base.
     """
-    n, rows = E.n, E.rows
+    n = E.n
     if n < 0 or n % 2:
         raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
-    odd = rule.odd_only
-    if odd and any(r & ~odd_support(n) for r in rows):
+    if rule.odd_only and any(r & ~odd_support(n) for r in E.rows):
         return None
     slots = []
-    while len(rows) > rule.full_base:
-        # bit i-1 is set when some row has x_{i-1} != x_{i+1}
-        ragged = 0
-        for r in rows:
-            ragged |= (r << 1) ^ (r >> 1)
-        for i in range(1, n + 1):
-            ei = 1 << (i - 1)
-            adjoins = not odd or i % 2
-            if ragged & ei or (adjoins and E.residue(ei)):
-                continue
-            E = span_masks(((r & (ei - 1)) | (r >> (i + 1) << (i - 1)) for r in rows), n - 2)
-            if len(E.rows) != len(rows) - adjoins:
-                return None
-            slots.append(i)
-            n, rows = n - 2, E.rows
-            break
-        else:
+    while (i := first_slot(E, rule)) is not None:
+        rows = E.rows
+        adjoins = not rule.odd_only or i % 2
+        E = span_masks(((r & ((1 << (i - 1)) - 1)) | (r >> (i + 1) << (i - 1)) for r in rows), n - 2)
+        if len(E.rows) != len(rows) - adjoins:
             return None
-    return slots if len(rows) == rule.full_base and E == rule.base(n) else None
+        slots.append(i)
+        n -= 2
+    return slots if len(E.rows) == rule.full_base and E == rule.base(n) else None

@@ -361,6 +361,17 @@ def test_output_bytes_match_the_benchmark_digests(capsys, tmp_path, monkeypatch)
     assert enumerated("f0") + f1_rows == exported("families.csv")
 
 
+def test_export_d16_matches_the_benchmark_digests(capsys, tmp_path, monkeypatch):
+    pinned = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["export --D 16 --out out"]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "export", "--D", "16", "--out", "out")
+    assert code == 0
+    assert sha256(out.encode()) == pinned["stdout"]
+    written = {p.name: sha256(p.read_bytes()) for p in (tmp_path / "out").iterdir()}
+    assert written == pinned["files"]
+    assert len(written) == 8
+
+
 def test_export_deterministic(capsys, tmp_path):
     def snapshot(sub):
         out_dir = tmp_path / sub
