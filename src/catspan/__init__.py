@@ -3,7 +3,6 @@ and exact Catalan/Narayana verification."""
 
 from .gf2 import (
     Subspace,
-    intersection,
     is_isotropic,
     span_masks,
     subspace_sum,
@@ -44,7 +43,6 @@ __all__ = [
     "span_masks",
     "subspace_sum",
     "is_isotropic",
-    "intersection",
     "Line",
     "FamilyTable",
     "build_families",

@@ -17,7 +17,6 @@ __all__ = [
     "span_masks",
     "subspace_sum",
     "is_isotropic",
-    "intersection",
     "null_space",
     "mask_to_string",
     "string_to_mask",
@@ -147,17 +146,6 @@ def is_isotropic(E: Subspace) -> bool:
             if form_masks(rows[i], rows[j]):
                 return False
     return True
-
-
-def intersection(E: Subspace, F: Subspace) -> Subspace:
-    """E intersect F by the Zassenhaus trick on stacked [left | right] blocks."""
-    if E.n != F.n:
-        raise ValueError(f"dimension mismatch: {E.n} vs {F.n}")
-    n = E.n
-    left = (1 << n) - 1
-    stacked = [r | (r << n) for r in E.rows] + list(F.rows)
-    inter = [r >> n for r in _rref(stacked) if not r & left]
-    return span_masks(inter, n)
 
 
 def null_space(masks: Sequence[int], width: int) -> tuple[int, ...]:

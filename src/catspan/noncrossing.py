@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .gf2 import (
-    Subspace,
-    intersection,
-    null_space,
-    odd_support,
-    span_masks,
-    subspace_key,
-    subspace_sum,
-)
+from .gf2 import Subspace, null_space, odd_support, span_masks, subspace_key, subspace_sum
 from .slots import COLLECTION, F0, layer, peel, replay
 
 __all__ = [
@@ -270,6 +262,5 @@ def from_lagrangian(E: Subspace) -> Subspace:
     """Inverse direction: cut a Lagrangian level-0 member with the odd part."""
     if peel(E, F0) is None or 2 * E.dim != E.n:
         raise ValueError(f"subspace is not a Lagrangian level-0 member in V_{E.n}")
-    n = E.n
-    odd = span_masks((1 << k for k in range(0, n, 2)), n)
-    return intersection(E, odd)
+    # E is C + ann(C) with ann(C) in the even part, so its odd projection is C
+    return span_masks((r & odd_support(E.n) for r in E.rows), E.n)

@@ -15,8 +15,9 @@ from its canonical parent: the children of P in V_n are step(i, P) for i in
 1..min(n, first_slot(P) + 1), and for every slot i when P is the base.
 
 Why that emits each member exactly once.  Let C = step(i, P) at level 0 or
-1, where every slot adjoins.  Slot i fits C: the fan-out gives coordinates
-i-1, i and i+1 of embed_i(p) one value, and e_i adds only to coordinate i.
+1, where every slot adjoins.  Slot i fits C: its rows are e_i and, for each
+row p of P, embed_i(p) under fan 0b101, which copies x_{i-1} to x_{i+1} and
+leaves coordinate i zero.
 Slot i-1 does not fit, since e_i is in C and has x_{i-2} = 0 != x_i = 1.  A
 slot j <= i-2 reads coordinates j-1..j+1 below i, where embed_i changes
 nothing and e_i is zero, so j fits C exactly when it fits P: the slots
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
-from .gf2 import Subspace, odd_support, span_masks
+from .gf2 import Subspace, odd_support
 
 __all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "replay", "first_slot", "peel"]
 
@@ -58,14 +59,12 @@ def embed(i: int, m: int, fan: int) -> int:
 class Rule(NamedTuple):
     """How one level grows from V_{n-2} to V_n, read forward or backward.
 
-    The base is <e_1 + ... + e_n> when full_base (level 1), else zero.  fan
-    0b111 sends e_{i-1} to e_{i-1} + e_i + e_{i+1}; fan 0b101 sends it to
-    e_{i-1} + e_{i+1}, which keeps the collection in the odd-index part as
-    long as only odd slots adjoin e_i (odd_only).
+    The base is <e_1 + ... + e_n> when full_base (level 1), else zero.  Every
+    slot adjoins e_i, except the even slots of the collection (odd_only),
+    which keeps it in the odd-index part.
     """
 
     full_base: bool
-    fan: int
     odd_only: bool
 
     def base(self, n: int) -> Subspace:
@@ -74,28 +73,28 @@ class Rule(NamedTuple):
             raise ValueError("level 1 has no member in V_0")
         return Subspace(n, ((1 << n) - 1,) if self.full_base else ())
 
-    def grow(self, i: int, rows: Iterable[int]) -> list[int]:
-        """Spanning rows of embed_i(P) + <e_i> from spanning rows of P."""
-        fan = self.fan
-        out = [embed(i, r, fan) for r in rows]
-        if not self.odd_only or i % 2:
-            out.append(1 << (i - 1))
-        return out
-
     def step(self, i: int, P: Subspace, n: int) -> Subspace:
-        return span_masks(self.grow(i, P.rows), n)
+        """embed_i(P) + <e_i> in canonical RREF, from the canonical rows of P.
+
+        Fan 0b101 serves every rule: where fan 0b111 adds e_i, the adjoined
+        e_i absorbs it.  The 0b101 embedding keeps each pivot and the pivot
+        order and leaves coordinate i zero, so the rows stay reduced and e_i
+        goes in at its pivot position."""
+        rows = [embed(i, r, 0b101) for r in P.rows]
+        if not self.odd_only or i % 2:
+            low = (1 << (i - 1)) - 1
+            rows.insert(sum(1 for r in rows if r & low), 1 << (i - 1))
+        return Subspace(n, tuple(rows))
 
     def build(self, slots: list[int], n: int) -> Subspace:
-        """The member of V_n that the slots (top first) build from the base.
-        The embedding is linear, so the rows are reduced once, at the top."""
+        """The member of V_n that the slots (top first) build from the base."""
         m = n - 2 * len(slots)
-        rows = replay(slots, self.base(m).rows, m, lambda i, rows, _: self.grow(i, rows))
-        return span_masks(rows, n)
+        return replay(slots, self.base(m), m, self.step)
 
 
-F0 = Rule(False, 0b111, False)
-F1 = Rule(True, 0b111, False)
-COLLECTION = Rule(False, 0b101, True)
+F0 = Rule(False, False)
+F1 = Rule(True, False)
+COLLECTION = Rule(False, True)
 
 
 def layer(step: Callable[[int, T, int], T], n: int, below: Iterable[T], base: T) -> set[T]:
@@ -138,9 +137,13 @@ def first_slot(E: Subspace, rule: Rule) -> int | None:
 def peel(E: Subspace, rule: Rule) -> list[int] | None:
     """The slots that build E under rule (F0, F1 or COLLECTION), top first.
 
-    Each step takes first_slot(E) and deletes coordinates i and i+1, which
-    gives P, one dimension less if e_i was adjoined.  The peel runs down to
-    the dimension of the base and returns None unless it ends at the base.
+    Each step takes i = first_slot(E), drops the row e_i and deletes
+    coordinates i and i+1 from the other rows, which gives P in canonical
+    RREF: first_slot requires e_i as a row, so no other row has x_i; no row
+    has its pivot at e_{i+1}, since the ragged test gives it x_{i-1} too;
+    and under odd support no row has an even x_i at all.  The peel runs
+    down to the dimension of the base and returns None unless it ends at
+    the base.
     """
     n = E.n
     if n < 0 or n % 2:
@@ -149,11 +152,8 @@ def peel(E: Subspace, rule: Rule) -> list[int] | None:
         return None
     slots = []
     while (i := first_slot(E, rule)) is not None:
-        rows = E.rows
-        adjoins = not rule.odd_only or i % 2
-        E = span_masks(((r & ((1 << (i - 1)) - 1)) | (r >> (i + 1) << (i - 1)) for r in rows), n - 2)
-        if len(E.rows) != len(rows) - adjoins:
-            return None
-        slots.append(i)
+        unit, low = 1 << (i - 1), (1 << (i - 1)) - 1
         n -= 2
+        E = Subspace(n, tuple(r & low | r >> (i + 1) << (i - 1) for r in E.rows if r != unit))
+        slots.append(i)
     return slots if len(E.rows) == rule.full_base and E == rule.base(n) else None

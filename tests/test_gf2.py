@@ -8,7 +8,6 @@ from _fixtures import members
 from catspan.gf2 import (
     Subspace,
     form_masks,
-    intersection,
     is_isotropic,
     mask_to_string,
     null_space,
@@ -135,28 +134,6 @@ def test_span_input_validation():
         span_masks([0b100], 2)
 
 
-def test_intersection_and_dim_formula_exhaustive_f2_3():
-    subs = all_subspaces(3)
-    assert len(subs) == 16
-    for E in subs:
-        for F in subs:
-            got = intersection(E, F)
-            want = set(members(E)) & set(members(F))
-            assert set(members(got)) == want
-            total = subspace_sum(E, F)
-            assert got.dim + total.dim == E.dim + F.dim
-
-
-def test_intersection_random_v6():
-    rng = random.Random(59)
-    for _ in range(200):
-        E = span_masks([rng.randrange(64) for _ in range(3)], 6)
-        F = span_masks([rng.randrange(64) for _ in range(3)], 6)
-        got = intersection(E, F)
-        want = set(members(E)) & set(members(F))
-        assert set(members(got)) == want
-
-
 def test_subspace_predicates():
     E = span_masks([0b0111, 0b0100], 4)
     assert string_to_mask("1100") in E
@@ -242,7 +219,6 @@ def test_symplectic_space_parts():
     assert odd_support(n) << 1 == 0b101010
     assert odd.dim == 3
     assert even.dim == 3
-    assert intersection(odd, even) == Subspace.zero(n)
     assert subspace_sum(odd, even).dim == n
     assert 1 << 2 & odd_support(n)
     assert form_masks(1 << 1, 1 << 2) == 1

@@ -4,22 +4,79 @@ The peel runs the slot induction backwards instead of building the table at
 D.  Here every table member must peel at its own level and no other, the
 peel must agree with the tables on every brute-force subspace that small D
 allows, and the peel-based inverse maps must equal plain table inversions.
+The step builds its rows straight in canonical RREF; here it must equal the
+span of the paper's rows, and neither direction may reduce rows at all.
 """
 
 import pytest
 
 from _fixtures import isotropic
 from catspan.families import build_families, level_down, level_up
-from catspan.gf2 import Subspace
+from catspan.gf2 import Subspace, span_masks
 from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs
 from catspan.oracle import all_subspaces
-from catspan.slots import COLLECTION, F0, F1, peel, replay
+from catspan.slots import COLLECTION, F0, F1, embed, peel, replay
+
+
+def paper_rows(rule, i, rows):
+    """Spanning rows of embed_i(P) + <e_i> as the paper writes them: fan-out
+    0b111 for the families, 0b101 for the collection, whose even slots
+    adjoin nothing."""
+    fan = 0b101 if rule is COLLECTION else 0b111
+    out = [embed(i, r, fan) for r in rows]
+    if rule is not COLLECTION or i % 2:
+        out.append(1 << (i - 1))
+    return out
 
 
 def replays_to(E, slots, rule):
-    """Both forward readings of the slots, subspace steps and unreduced rows."""
+    """Both forward readings of the slots: canonical steps, and the paper's
+    rows folded unreduced and spanned once at the top."""
     m = E.n - 2 * len(slots)
-    return replay(slots, rule.base(m), m, rule.step) == E == rule.build(slots, E.n)
+    rows = replay(slots, rule.base(m).rows, m, lambda i, rows, _: paper_rows(rule, i, rows))
+    return replay(slots, rule.base(m), m, rule.step) == E == span_masks(rows, E.n)
+
+
+def levels(D):
+    """(rule, members) for the three levels at D."""
+    table = build_families(D)
+    return [(F0, table.f0), (F1, table.f1), (COLLECTION, build_collection(D).members)]
+
+
+def test_step_equals_the_span_of_the_paper_rows():
+    # Subspace equality is structural on the rows, so this also shows that
+    # every step comes out in canonical RREF
+    steps = 0
+    for D in range(2, 15, 2):
+        for rule, below in levels(D - 2):
+            for P in below:
+                for i in range(1, D + 1):
+                    assert rule.step(i, P, D) == span_masks(paper_rows(rule, i, P.rows), D)
+                    steps += 1
+    assert steps == 62364
+
+
+def test_slot_steps_never_reduce_rows(monkeypatch):
+    lower = levels(6)
+    members = levels(8)
+    table = build_families(8)
+
+    def no_rref(masks):
+        raise AssertionError("_rref called")
+
+    monkeypatch.setattr("catspan.gf2._rref", no_rref)
+    for rule, below in lower:
+        for P in below:
+            for i in range(1, 9):
+                rule.step(i, P, 8)
+    for rule, top in members:
+        for E in top:
+            assert rule.build(peel(E, rule), 8) == E
+    for E in table.f1:
+        assert level_up(level_down(E)) == E
+    for E in build_collection(8).members:
+        arcs_of(E)
+    assert build_families.__wrapped__(8) == table
 
 
 def test_peel_accepts_members_at_their_own_level():
