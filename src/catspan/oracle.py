@@ -1,22 +1,26 @@
 """Brute-force cross-check enumerators.
 
-These deliberately avoid the inductive constructions: subspaces come from
-direct RREF cell enumeration over pivot patterns, noncrossing sets from
-filtering the full power set of arcs.  Desk-scale only; the budgets make
-the cost ceiling explicit.
+These deliberately avoid the inductive constructions.  Subspaces come from
+direct RREF cell enumeration: per pivot pattern, each row lists its values
+once and `product` combines them, in the order of a binary count over the
+free entries; the isotropy filter runs on those raw rows.  Noncrossing sets
+come from filtering the full power set of arcs.  Desk-scale only; the budgets
+make the cost ceiling explicit.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .gf2 import Subspace, form_masks
 from .noncrossing import Arc, ArcSequence, is_noncrossing, seq_key
 
 __all__ = [
     "OracleBudget",
+    "cells",
     "all_subspaces",
     "all_isotropic",
     "noncrossing_direct",
@@ -51,34 +55,32 @@ class OracleBudget:
         return cls(**kw)
 
 
-def _cells(n: int, k: int):
-    # every k-dim subspace has a unique RREF basis: fix the pivot columns,
-    # then every assignment of the free positions gives a distinct subspace
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (r, c)
-            for r, p in enumerate(pivots)
-            for c in range(p + 1, n)
-            if c not in pivot_set
-        ]
-        base = [1 << p for p in pivots]
-        for fill in range(1 << len(free)):
-            rows = list(base)
-            for j, (r, c) in enumerate(free):
-                if (fill >> j) & 1:
-                    rows[r] |= 1 << c
-            yield tuple(rows)
+def _row_values(n: int, p: int, pivots: tuple[int, ...]) -> list[int]:
+    values = [1 << p]
+    for c in range(p + 1, n):
+        if c not in pivots:
+            values += [v | 1 << c for v in values]
+    return values
 
 
-def all_subspaces(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
-    """Every subspace of an n-dimensional space, by direct cell enumeration."""
+def cells(n: int, budget: OracleBudget | None = None) -> Iterator[tuple[int, ...]]:
+    """Canonical rows of every subspace of V_n, by dimension; raises at the call."""
     budget = budget or OracleBudget()
     if n < 0:
         raise ValueError(f"ambient dimension must be >= 0, got {n}")
     if n > budget.max_dim:
         raise ValueError(f"ambient dimension {n} exceeds oracle budget {budget.max_dim}")
-    return [Subspace(n, rows) for k in range(n + 1) for rows in _cells(n, k)]
+    return (
+        rows[::-1]
+        for k in range(n + 1)
+        for pivots in combinations(range(n), k)
+        for rows in product(*(_row_values(n, p, pivots) for p in reversed(pivots)))
+    )
+
+
+def all_subspaces(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
+    """Every subspace of an n-dimensional space, in `cells` order."""
+    return [Subspace(n, rows) for rows in cells(n, budget)]
 
 
 def _rows_isotropic(rows: tuple[int, ...]) -> bool:
@@ -90,10 +92,10 @@ def _rows_isotropic(rows: tuple[int, ...]) -> bool:
 
 
 def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
-    """Every isotropic subspace of V_n."""
+    """Every isotropic subspace of V_n, filtered on the raw cell rows."""
     if n % 2:
         raise ValueError(f"ambient dimension must be even, got {n}")
-    return [E for E in all_subspaces(n, budget) if _rows_isotropic(E.rows)]
+    return [Subspace(n, rows) for rows in cells(n, budget) if _rows_isotropic(rows)]
 
 
 def noncrossing_direct(n: int, budget: OracleBudget | None = None) -> list[ArcSequence]:

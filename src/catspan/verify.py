@@ -213,7 +213,7 @@ def check_oracle_noncrossing(n: int, budget: oracle_mod.OracleBudget | None = No
 
 def check_oracle_subspace_counts(n: int, budget: oracle_mod.OracleBudget | None = None) -> CheckResult:
     name = "oracle-subspace-counts"
-    by_dim = Counter(E.dim for E in oracle_mod.all_subspaces(n, budget=budget))
+    by_dim = Counter(len(rows) for rows in oracle_mod.cells(n, budget))
     for k in range(n + 1):
         want = gaussian_binomial(n, k)
         if by_dim[k] != want:

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import catspan.oracle
-from _fixtures import C_V2, C_V4, C_V6, F0_V2, F0_V4, F1_V2, F1_V4, Z_V2, Z_V4, Z_V6, isotropic
+from _fixtures import C_V2, C_V4, C_V6, F0_V2, F0_V4, F1_V2, F1_V4, Z_V2, Z_V4, Z_V6
 from catspan.conjecture import (
     SuppliedFamily,
     collection_as_plain,
@@ -35,6 +34,7 @@ from catspan.verify import (
     check_level_bijection,
     check_oracle_families,
     check_oracle_noncrossing,
+    check_oracle_subspace_counts,
     check_roundtrip,
     check_shift_lemmas,
 )
@@ -105,13 +105,13 @@ def test_slot_lemmas_and_roundtrips():
         passes(check_inductive_closure, range(2, 13, 2))
 
 
-def test_oracle_equivalence(monkeypatch):
+def test_oracle_equivalence():
     # the line test marking more subspaces than the builders keep is pinned,
     # with frozen counts, by test_oracle::test_shape_counts_overshoot_families;
-    # the brute-force isotropic lists come from the per-run _fixtures cache
-    monkeypatch.setattr(catspan.oracle, "all_isotropic", lambda n, budget=None: isotropic(n))
+    # every check runs the same brute-force path as `catspan verify --oracle`
     with reported("oracle equivalence: enumeration and classification", 300):
         passes(check_oracle_noncrossing, range(2, 11, 2))
+        passes(check_oracle_subspace_counts, range(2, 9, 2))
         passes(check_oracle_families, range(2, 9, 2))
 
 

@@ -1,19 +1,21 @@
 """Brute-force enumerators and cross-checks against closed-form counts."""
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from _fixtures import isotropic
 from catspan.counting import gaussian_binomial
 from catspan.families import build_families, classify_by_lines
-from catspan.gf2 import span_masks
+from catspan.gf2 import is_isotropic, span_masks
 from catspan.noncrossing import enumerate_noncrossing, seq_key
 from catspan.oracle import (
     MAX_ARC_SUBSET,
     OracleBudget,
     all_isotropic,
     all_subspaces,
+    cells,
     noncrossing_direct,
 )
 
@@ -24,6 +26,40 @@ def isotropic_closed_form(d: int, k: int) -> int:
     for i in range(d - k + 1, d + 1):
         out *= (1 << i) + 1
     return out
+
+
+def bit_fill_cells(n):
+    """The RREF cells one free entry at a time: a binary count over all free
+    positions of a pivot pattern, row 0's lowest free column fastest."""
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+            for fill in range(1 << len(free)):
+                rows = [1 << p for p in pivots]
+                for j, (r, c) in enumerate(free):
+                    if (fill >> j) & 1:
+                        rows[r] |= 1 << c
+                yield tuple(rows)
+
+
+def test_cells_keep_the_bit_fill_order():
+    # the queries benchmark draws match inputs from all_subspaces(5) by position
+    for n in range(8):
+        assert list(cells(n)) == list(bit_fill_cells(n))
+
+
+def test_cells_budget_errors_raise_at_the_call():
+    with pytest.raises(ValueError, match="exceeds oracle budget 8"):
+        cells(9)
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        cells(-1)
+    with pytest.raises(ValueError, match="ambient dimension 4 exceeds oracle budget 3"):
+        cells(4, OracleBudget(max_dim=3))
+
+
+def test_all_isotropic_equals_the_gf2_filter():
+    for D in (2, 4, 6, 8):
+        assert all_isotropic(D) == [E for E in all_subspaces(D) if is_isotropic(E)]
 
 
 def test_all_subspaces_counts():
