@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -21,11 +21,11 @@ from .noncrossing import (
     decompose,
     enumerate_noncrossing,
     from_lagrangian,
+    seq_key,
     span_arcs,
     to_lagrangian,
 )
 from .oracle import BUDGET_VARS, OracleBudget
-from .verify import ORACLE_CAPS, run_checks
 
 SUBSPACE_KINDS = ("f0", "f1", "lagrangian", "collection")
 # map ops that take a subspace; span-arcs and decompose take an arc set
@@ -78,67 +78,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _members(kind: str, n: int) -> list:
-    """JSON forms of one table's members in canonical order: arc sets as
-    enumerated, subspaces sorted by subspace_key."""
+def _members(kind: str, n: int) -> list[tuple]:
+    """One table in canonical order, each member rendered once to its parts, whose
+    number is its grade: an arc set's (a, b) pairs or a subspace's basis strings."""
     if kind == "arcs":
-        members = enumerate_noncrossing(n)
-    elif kind == "collection":
-        members = build_collection(n).sorted_members()
+        return [pairs for _, pairs in map(seq_key, enumerate_noncrossing(n))]
+    if kind == "collection":
+        members = build_collection(n).members
     else:
         table = build_families(n)
-        pick = {"f0": table.f0, "f1": table.f1, "lagrangian": table.f0_lagrangian}[kind]
-        members = sorted(pick, key=subspace_key)
-    return [m.to_json() for m in members]
-
-
-def _parts(kind: str, m) -> list:
-    """The arcs of an arc set's JSON form, or the basis strings of a subspace's;
-    their number is the member's grade."""
-    return m if kind == "arcs" else m["basis"]
+        members = {"f0": table.f0, "f1": table.f1, "lagrangian": table.f0_lagrangian}[kind]
+    # canonical RREF makes each key unique, so sorting the keys sorts the members
+    return [rows for _, rows in sorted(map(subspace_key, members))]
 
 
 def _csv_header(kind: str) -> list[str]:
     return ["D", "kind", "s", "arcs"] if kind == "arcs" else ["D", "kind", "dim", "basis"]
 
 
-def _csv_rows(kind: str, n: int, members: list) -> Iterator[list]:
-    for m in members:
-        parts = _parts(kind, m)
+def _csv_rows(kind: str, n: int, members: list[tuple]) -> Iterator[list]:
+    for parts in members:
         cells = [f"{a}-{b}" for a, b in parts] if kind == "arcs" else parts
         yield [n, kind, len(parts), "|".join(cells)]
 
 
-def _text_line(kind: str, m) -> str:
-    if kind == "arcs":
-        return f"s={len(m)} arcs={' '.join(f'({a},{b})' for a, b in m) or '-'}"
-    return f"dim={len(m['basis'])} basis={'|'.join(m['basis']) or '-'}"
-
-
 def _write_csv(fh, header: list[str], rows: Iterable[list]) -> None:
+    import csv
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
+def _write_json(fh, n: int, kind: str, lists: dict[str, list[tuple]]) -> None:
+    """Write {"D": n, KEY: [member, ...], ...} in the bytes of json.dump(..., indent=2),
+    laying out one member at a time, never a whole table as one string."""
+    fh.write(f'{{\n  "D": {n}')
+    for key, members in lists.items():
+        fh.write(f',\n  "{key}": [')
+        for i, parts in enumerate(members):
+            if kind == "arcs":
+                arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in parts)
+                text = f"[\n      {arcs}\n    ]" if parts else "[]"
+            else:
+                basis = '[\n        "' + '",\n        "'.join(parts) + '"\n      ]' if parts else "[]"
+                text = f'{{\n      "D": {n},\n      "basis": {basis}\n    }}'
+            fh.write((",\n    " if i else "\n    ") + text)
+        fh.write("\n  ]" if members else "]")
+    fh.write("\n}")
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, kind = args.D, args.kind
-    members = [
-        m
-        for m in _members(kind, n)
-        if args.grade is None or len(_parts(kind, m)) == args.grade
-    ]
+    members = [m for m in _members(kind, n) if args.grade is None or len(m) == args.grade]
     if args.format == "json":
-        print(json.dumps({"D": n, "kind": kind, "members": members}))
+        shown = members if kind == "arcs" else [{"D": n, "basis": rows} for rows in members]
+        print(json.dumps({"D": n, "kind": kind, "members": shown}))
     elif args.format == "csv":
         _write_csv(sys.stdout, _csv_header(kind), _csv_rows(kind, n, members))
+    elif kind == "arcs":
+        for pairs in members:
+            print(f"s={len(pairs)} arcs={' '.join(f'({a},{b})' for a, b in pairs) or '-'}")
     else:
-        for m in members:
-            print(_text_line(kind, m))
+        for rows in members:
+            print(f"dim={len(rows)} basis={'|'.join(rows) or '-'}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import ORACLE_CAPS, run_checks
     budget = OracleBudget.from_env()
     counts, results, skipped = run_checks(args.d_min, args.d_max, args.oracle, budget)
     for name, field in ORACLE_CAPS.items():
@@ -202,15 +209,15 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0 if result.found else 1
 
 
-def _export(out: Path, stem: str, header: list[str], rows: Iterable[list], obj: dict) -> None:
-    """Write one table as STEM.csv, then STEM.json, streaming into each file."""
+def _export(out: Path, stem: str, header: list[str], rows: Iterable[list], write_json) -> None:
+    """Write one table as STEM.csv, then STEM.json (write_json(fh) and a newline)."""
     path = out / f"{stem}.csv"
     with path.open("w", encoding="utf-8") as fh:
         _write_csv(fh, header, rows)
     print(f"wrote {path}")
     path = out / f"{stem}.json"
     with path.open("w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        write_json(fh)
         fh.write("\n")
     print(f"wrote {path}")
 
@@ -222,24 +229,17 @@ def cmd_export(args: argparse.Namespace) -> int:
     # one table at a time, in file-name order
     for kind in ("arcs", "collection"):
         members = _members(kind, n)
-        _export(out, kind, _csv_header(kind), _csv_rows(kind, n, members), {"D": n, "members": members})
+        dump = partial(_write_json, n=n, kind=kind, lists={"members": members})
+        _export(out, kind, _csv_header(kind), _csv_rows(kind, n, members), dump)
     counts = verify_counts(n)
-    _export(
-        out,
-        "counts",
-        ["D", "label", "observed", "expected", "pass"],
-        ([r.D, r.label, r.observed, r.expected, str(r.passed).lower()] for r in counts),
-        {
-            "D": n,
-            "rows": [
-                {"D": r.D, "label": r.label, "observed": r.observed, "expected": r.expected, "pass": r.passed}
-                for r in counts
-            ],
-        },
-    )
+    header = ["D", "label", "observed", "expected", "pass"]
+    records = [dict(zip(header, (r.D, r.label, r.observed, r.expected, r.passed))) for r in counts]
+    csv_rows = ([r.D, r.label, r.observed, r.expected, str(r.passed).lower()] for r in counts)
+    _export(out, "counts", header, csv_rows, partial(json.dump, {"D": n, "rows": records}, indent=2))
     f0, f1 = _members("f0", n), _members("f1", n)
     rows = chain(_csv_rows("f0", n, f0), _csv_rows("f1", n, f1))
-    _export(out, "families", _csv_header("f0"), rows, {"D": n, "f0": f0, "f1": f1})
+    dump = partial(_write_json, n=n, kind="f0", lists={"f0": f0, "f1": f1})
+    _export(out, "families", _csv_header("f0"), rows, dump)
     return 0
 
 

@@ -1,14 +1,20 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
+import csv
 import hashlib
+import io
 import json
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
+from catspan import gf2
 from catspan.cli import main
 from catspan.conjecture import collection_as_plain
+from catspan.families import build_families
 from catspan.gf2 import mask_to_string, subspace_key
+from catspan.noncrossing import build_collection, enumerate_noncrossing
 from catspan.oracle import BUDGET_VARS
 
 # digests of the benchmark's outputs, pinned by the perfbench harness
@@ -97,6 +103,50 @@ def test_enumerate_deterministic(capsys):
     first = run(capsys, "enumerate", "--kind", "collection", "--D", "6")
     second = run(capsys, "enumerate", "--kind", "collection", "--D", "6")
     assert first == second
+
+
+def reference_enumerate(kind, n, fmt, grade):
+    """enumerate's output built the slow way: sort the members, then to_json each."""
+    if kind == "arcs":
+        members = [seq.to_json() for seq in enumerate_noncrossing(n)]
+    else:
+        if kind == "collection":
+            table = build_collection(n).members
+        else:
+            fams = build_families(n)
+            table = {"f0": fams.f0, "f1": fams.f1, "lagrangian": fams.f0_lagrangian}[kind]
+        members = [E.to_json() for E in sorted(table, key=subspace_key)]
+
+    def parts(m):
+        return m if kind == "arcs" else m["basis"]
+
+    members = [m for m in members if grade is None or len(parts(m)) == grade]
+    if fmt == "json":
+        return json.dumps({"D": n, "kind": kind, "members": members}) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["D", "kind", "s", "arcs"] if kind == "arcs" else ["D", "kind", "dim", "basis"])
+        for m in members:
+            cells = [f"{a}-{b}" for a, b in m] if kind == "arcs" else m["basis"]
+            writer.writerow([n, kind, len(cells), "|".join(cells)])
+        return buf.getvalue()
+    if kind == "arcs":
+        lines = [f"s={len(m)} arcs={' '.join(f'({a},{b})' for a, b in m) or '-'}" for m in members]
+    else:
+        lines = [f"dim={len(m['basis'])} basis={'|'.join(m['basis']) or '-'}" for m in members]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("kind", ["f0", "f1", "lagrangian", "collection", "arcs"])
+def test_enumerate_matches_the_sorted_to_json_reference(capsys, kind):
+    for fmt in ("json", "csv", "text"):
+        for grade in (None, 0, 2, 4):
+            argv = ["enumerate", "--kind", kind, "--D", "6", "--format", fmt]
+            argv += [] if grade is None else ["--grade", str(grade)]
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out == reference_enumerate(kind, 6, fmt, grade), (fmt, grade)
 
 
 def test_verify_passes(capsys):
@@ -380,6 +430,33 @@ def test_export_deterministic(capsys, tmp_path):
         return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
     assert snapshot("first") == snapshot("second")
+
+
+def test_export_json_is_json_dump_at_indent_2(capsys, tmp_path):
+    for D in range(2, 13, 2):
+        out_dir = tmp_path / str(D)
+        code, _, _ = run(capsys, "export", "--D", str(D), "--out", str(out_dir))
+        assert code == 0
+        for name in ("arcs.json", "collection.json", "families.json"):
+            text = (out_dir / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", (D, name)
+
+
+def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
+    calls = 0
+    real = gf2.mask_to_string
+
+    def counting(mask, n):
+        nonlocal calls
+        calls += 1
+        return real(mask, n)
+
+    monkeypatch.setattr(gf2, "mask_to_string", counting)
+    code, _, _ = run(capsys, "export", "--D", "8", "--out", str(tmp_path / "out"))
+    assert code == 0
+    table = build_families(8)
+    members = chain(table.f0, table.f1, build_collection(8).members)
+    assert calls == sum(E.dim for E in members)
 
 
 def test_usage_errors():
