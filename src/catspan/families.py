@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf2 import Subspace, span_masks
-from .slots import F0, F1, Rule, first_slot, peel
+from .slots import F0, F1, members, peel
 
 __all__ = [
     "Line",
@@ -60,39 +60,14 @@ class FamilyTable:
     f0_sub: frozenset[Subspace]
 
 
-def _children(rule: Rule, n: int, below: frozenset[Subspace]) -> set[Subspace]:
-    """The base of V_n, and step(i, P) for the slots i up to first_slot(P) + 1
-    (every slot when P is the base): each member of V_n exactly once."""
-    members = {rule.base(n)}
-    candidates = 1
-    for P in below:
-        f = first_slot(P, rule)
-        top = n if f is None else min(n, f + 1)
-        members.update(rule.step(i, P, n) for i in range(1, top + 1))
-        candidates += top
-    if len(members) != candidates:
-        raise AssertionError(f"{candidates} candidates for {len(members)} members in V_{n}")
-    return members
-
-
 @lru_cache(maxsize=None)
 def build_families(n: int) -> FamilyTable:
-    """Generate both family levels at ambient dimension n by induction,
-    each member once from its canonical parent."""
-    if n < 0 or n % 2:
-        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
-    if n == 0:
-        zero = Subspace.zero(0)
-        return FamilyTable(0, frozenset([zero]), frozenset(), frozenset([zero]), frozenset())
-
-    prev = build_families(n - 2)
-    f0 = _children(F0, n, prev.f0)
-    f1 = _children(F1, n, prev.f1)
-
+    """Both family levels in V_n, each member once from its canonical parent."""
+    f0 = frozenset(set(members(F0, n)))  # copied from a set, the table is sized to fit, not grown
     half = n // 2
     lag = frozenset(E for E in f0 if E.dim == half)
     sub = frozenset(E for E in f0 if E.dim < half)
-    return FamilyTable(n, frozenset(f0), frozenset(f1), lag, sub)
+    return FamilyTable(n, f0, frozenset(set(members(F1, n))), lag, sub)
 
 
 def lines_in(E: Subspace) -> frozenset[Line]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .gf2 import Subspace, null_space, odd_support, span_masks, subspace_key, subspace_sum
-from .slots import COLLECTION, F0, layer, peel, replay
+from .slots import COLLECTION, F0, members, peel, replay
 
 __all__ = [
     "Arc",
@@ -208,11 +208,8 @@ class OddCollection:
 
 @lru_cache(maxsize=None)
 def build_collection(n: int) -> OddCollection:
-    """Generate the odd-part collection at ambient dimension n by induction."""
-    if n < 0 or n % 2:
-        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
-    below = build_collection(n - 2).members if n else ()
-    return OddCollection(n, frozenset(layer(COLLECTION.step, n, below, COLLECTION.base(n))))
+    """The odd-part collection in V_n, each member once from its canonical parent."""
+    return OddCollection(n, frozenset(set(members(COLLECTION, n))))  # set: see build_families
 
 
 def span_arcs(seq: ArcSequence, n: int) -> Subspace:

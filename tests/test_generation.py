@@ -1,21 +1,21 @@
-"""Exact-once generation of the families from canonical parents.
+"""Exact-once generation of all three levels from canonical parents.
 
-build_families makes each member once: step(i, P) only for the slots i up
-to first_slot(P) + 1.  Here its tables must equal the plain layer builder,
-which tries every slot on every member below and keeps the distinct ones;
-first_slot must be the slot the peel takes; and the count over first slots
-must give the closed forms far past any size the tables reach.
+slots.members makes each member once: step(i, P) only for the slots i up
+to first_slot(P) + 1.  Here the builders' tables must equal the plain layer
+builder, which tries every slot on every member below and keeps the
+distinct ones; the walk must repeat no member; first_slot must be the slot
+the peel takes; and the count over first slots must give the closed forms
+and the Catalan numbers far past any size the tables reach.
 """
 
 import math
 from collections import Counter
 
-import pytest
-
-import catspan.families as families
-from catspan.families import build_families
+from catspan.counting import catalan
+from catspan.families import FamilyTable, build_families
 from catspan.gf2 import Subspace
-from catspan.slots import F0, F1, first_slot, layer, peel
+from catspan.noncrossing import build_collection
+from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, peel
 
 
 def first_slot_counts(start, D_max):
@@ -36,20 +36,49 @@ def first_slot_counts(start, D_max):
         yield D, counts
 
 
+def collection_first_slot_counts(D_max):
+    """Collection members per first slot (None for the zero) at each D from
+    0 to D_max.  The zero of V_0 has one child, by slot 1.  The zero of a
+    larger V_m counts as first slot 2 with its even slots skipped, so its
+    children take slots 1 and 3.  Any other parent with first slot f takes
+    1..f + 1, as in first_slot_counts."""
+    counts = {None: 1}
+    yield 0, counts
+    for D in range(2, D_max + 1, 2):
+        nxt = {None: 1}
+        reach = 0
+        for i in range(D, 0, -1):
+            reach += counts.get(i - 1, 0)
+            if c := reach + (i == 1 or (i == 3 and D >= 4)):
+                nxt[i] = c
+        counts = nxt
+        yield D, counts
+
+
 def test_families_equal_the_plain_layer_builder():
-    f0, f1 = {Subspace.zero(0)}, set()
+    f0, f1, coll = {Subspace.zero(0)}, set(), {Subspace.zero(0)}
     for D in range(2, 15, 2):
         f0 = layer(F0.step, D, f0, F0.base(D))
         f1 = layer(F1.step, D, f1, F1.base(D))
+        coll = layer(COLLECTION.step, D, coll, COLLECTION.base(D))
         table = build_families(D)
         assert table.f0 == f0 and table.f1 == f1, D
+        assert build_collection(D).members == coll, D
+
+
+def test_the_walk_repeats_no_member():
+    for D in range(0, 17, 2):
+        for rule in (F0, F1, COLLECTION):
+            walk = list(members(rule, D))
+            assert len(walk) == len(set(walk)), (D, rule)
 
 
 def test_first_slot_is_the_first_peeled_slot():
     for D in range(0, 15, 2):
         table = build_families(D)
-        for rule, members in ((F0, table.f0), (F1, table.f1)):
-            for E in members:
+        levels = ((F0, table.f0), (F1, table.f1), (COLLECTION, build_collection(D).members))
+        for rule, level in levels:
+            for E in level:
                 slots = peel(E, rule)
                 assert first_slot(E, rule) == (slots[0] if slots else None), (D, E)
 
@@ -59,6 +88,8 @@ def test_first_slot_counts_give_the_closed_forms():
         assert sum(counts.values()) == math.comb(D + 1, D // 2), D
     for D, counts in first_slot_counts(2, 200):
         assert sum(counts.values()) == math.comb(D + 1, (D - 2) // 2), D
+    for D, counts in collection_first_slot_counts(200):
+        assert sum(counts.values()) == catalan(D // 2 + 1), D
 
 
 def test_first_slot_counts_match_the_tables():
@@ -68,10 +99,18 @@ def test_first_slot_counts_match_the_tables():
         table = build_families(D)
         assert Counter(first_slot(E, F0) for E in table.f0) == level0[D], D
         assert Counter(first_slot(E, F1) for E in table.f1) == level1[D], D
+    for D, counts in collection_first_slot_counts(12):
+        assert Counter(first_slot(E, COLLECTION) for E in build_collection(D).members) == counts, D
 
 
-def test_a_repeated_member_fails_the_build(monkeypatch):
-    # every slot on every parent, as the plain layer does, repeats members
-    monkeypatch.setattr(families, "first_slot", lambda P, rule: None)
-    with pytest.raises(AssertionError, match="13 candidates for 10 members in V_4"):
-        build_families.__wrapped__(4)
+def test_v0_comes_from_the_walk():
+    zero = Subspace.zero(0)
+    assert build_families(0) == FamilyTable(0, frozenset([zero]), frozenset(), frozenset([zero]), frozenset())
+    assert build_collection(0).members == {zero}
+
+
+def test_the_builders_keep_no_lower_level():
+    for build in (build_families, build_collection):
+        build.cache_clear()
+        build(12)
+        assert build.cache_info().currsize == 1, build.__name__
