@@ -5,7 +5,6 @@ from .gf2 import (
     Subspace,
     is_isotropic,
     span_masks,
-    subspace_sum,
 )
 from .families import (
     FamilyTable,
@@ -24,7 +23,6 @@ from .noncrossing import (
     build_collection,
     decompose,
     enumerate_noncrossing,
-    even_annihilator,
     extend_seq,
     from_lagrangian,
     is_noncrossing,
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Subspace",
     "span_masks",
-    "subspace_sum",
     "is_isotropic",
     "Line",
     "FamilyTable",
@@ -61,7 +58,6 @@ __all__ = [
     "build_collection",
     "span_arcs",
     "arcs_of",
-    "even_annihilator",
     "to_lagrangian",
     "from_lagrangian",
     "catalan",

@@ -9,15 +9,13 @@ ascending, which makes equality and hashing structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Subspace",
     "form_masks",
     "span_masks",
-    "subspace_sum",
     "is_isotropic",
-    "null_space",
     "mask_to_string",
     "string_to_mask",
     "subspace_key",
@@ -78,10 +76,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, ())
-
     def residue(self, m: int) -> int:
         """Residue of m after elimination against the rows; 0 iff m is in E."""
         for r in self.rows:
@@ -130,12 +124,6 @@ def span_masks(masks: Iterable[int], n: int) -> Subspace:
     return Subspace(n, rows)
 
 
-def subspace_sum(E: Subspace, F: Subspace) -> Subspace:
-    if E.n != F.n:
-        raise ValueError(f"dimension mismatch: {E.n} vs {F.n}")
-    return span_masks(E.rows + F.rows, E.n)
-
-
 def is_isotropic(E: Subspace) -> bool:
     """True when the form vanishes on E x E.  Alternating, so pairs suffice."""
     if E.n % 2:
@@ -146,23 +134,3 @@ def is_isotropic(E: Subspace) -> bool:
             if form_masks(rows[i], rows[j]):
                 return False
     return True
-
-
-def null_space(masks: Sequence[int], width: int) -> tuple[int, ...]:
-    """Canonical basis of {x : parity(r & x) = 0 for every row r}."""
-    rows = _rref(masks)
-    if rows and rows[-1] >= (1 << width):
-        raise ValueError(f"row does not fit in width {width}")
-    pivots = [(r & -r).bit_length() - 1 for r in rows]
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(width):
-        if c in pivot_set:
-            continue
-        v = 1 << c
-        for r, p in zip(rows, pivots):
-            if (r >> c) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return _rref(basis)
-

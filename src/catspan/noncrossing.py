@@ -5,6 +5,11 @@ A set of arcs is noncrossing when the index intervals are pairwise disjoint
 or strictly nested.  Spanning the arc vectors of a noncrossing set is a
 bijection onto the collection of subspaces of the odd-index part generated
 by the slot induction; grades (arc count vs dimension) agree.
+
+arcs_of and to_lagrangian peel a collection member and replay its slots:
+arcs_of through extend_seq, to_lagrangian at level 0.  The latter is the
+Lagrangian correspondence E -> E + E^!, with E^! the annihilator of E in the
+even-index part; its inverse is the projection onto the odd-index part.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .gf2 import Subspace, null_space, odd_support, span_masks, subspace_key, subspace_sum
+from .gf2 import Subspace, odd_support, span_masks, subspace_key
 from .slots import COLLECTION, F0, members, peel, replay
 
 __all__ = [
@@ -28,7 +33,6 @@ __all__ = [
     "build_collection",
     "span_arcs",
     "arcs_of",
-    "even_annihilator",
     "to_lagrangian",
     "from_lagrangian",
 ]
@@ -230,29 +234,19 @@ def arcs_of(E: Subspace) -> ArcSequence:
     return replay(slots, ArcSequence(), E.n - 2 * len(slots), extend_seq)
 
 
-def even_annihilator(E: Subspace) -> Subspace:
-    """Vectors of the even-index part pairing to zero with all of E."""
-    n = E.n
-    if n % 2:
-        raise ValueError(f"ambient dimension must be even, got {n}")
-    if any(r & ~odd_support(n) for r in E.rows):
-        raise ValueError("subspace is not supported on odd indices")
-    # x pairs to zero with row r iff parity(x & ((r << 1) ^ (r >> 1))) = 0;
-    # the odd units cut x down to the even-index part
-    full = (1 << n) - 1
-    pairings = [((r << 1) ^ (r >> 1)) & full for r in E.rows]
-    return Subspace(n, null_space(pairings + [1 << k for k in range(0, n, 2)], n))
-
-
 def to_lagrangian(E: Subspace) -> Subspace:
-    """Collection member to Lagrangian level-0 member: E plus its annihilator."""
-    if peel(E, COLLECTION) is None:
+    """Collection member to Lagrangian level-0 member E + E^!, where E^! is
+    the annihilator of E in the even-index part: E's slots replayed at level 0.
+
+    An odd slot adjoins e_i on both levels.  An even slot adjoins e_i only at
+    level 0, and that e_i is the annihilator's new even unit.  The collection
+    peel stops at the zero of V_m, whose annihilator <e_2, ..., e_m> is m/2
+    steps of slot 2 at level 0 (the zero counts as first slot 2, see slots).
+    """
+    slots = peel(E, COLLECTION)
+    if slots is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
-    bang = even_annihilator(E)
-    out = subspace_sum(E, bang)
-    if out.dim != E.dim + bang.dim or 2 * out.dim != E.n:
-        raise AssertionError(f"annihilator sum is not Lagrangian in V_{E.n}")
-    return out
+    return F0.build(slots + [2] * (E.n // 2 - len(slots)), E.n)
 
 
 def from_lagrangian(E: Subspace) -> Subspace:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .counting import CountRow, gaussian_binomial, verify_counts
 from .families import build_families, classify_by_lines, level_down, level_up
-from .gf2 import is_isotropic, span_masks, subspace_key, subspace_sum
+from .gf2 import is_isotropic, subspace_key
 from .noncrossing import (
     Arc,
     ArcSequence,
@@ -79,8 +79,8 @@ def check_level_bijection(n: int) -> CheckResult:
         E0 = level_down(E)
         if E0 not in table.f0_sub:
             return _fail(name, n, f"image {E0.to_json()} is not sub-Lagrangian level-0")
-        line_span = span_masks([marked.mask()], n)
-        if subspace_sum(E0, line_span) != E or E0.dim + 1 != E.dim:
+        m = marked.mask()
+        if m not in E or m in E0 or not E.contains_subspace(E0) or E0.dim + 1 != E.dim:
             return _fail(name, n, f"{E.to_json()} != image + marked line")
         if E0 in images:
             return _fail(name, n, f"level_down collides at {E0.to_json()}")
@@ -115,6 +115,13 @@ def check_arc_bijection(n: int) -> CheckResult:
 
 
 def check_lagrangian(n: int) -> CheckResult:
+    """to_lagrangian(E) is E + E^!, E^! the annihilator of E in the even part.
+
+    L lies in the Lagrangian level, so it is isotropic of dimension n/2.  It
+    contains E, and its odd projection is E.  So L meets the even part in
+    n/2 - dim E dimensions, which pair to zero with E: that is all of E^!,
+    whose dimension is n/2 - dim E.  From those clauses, L = E + E^!.
+    """
     name = "lagrangian-correspondence"
     coll = build_collection(n)
     table = build_families(n)
@@ -123,6 +130,8 @@ def check_lagrangian(n: int) -> CheckResult:
         L = to_lagrangian(E)
         if L not in table.f0_lagrangian:
             return _fail(name, n, f"{E.to_json()} maps outside the Lagrangian level")
+        if not L.contains_subspace(E):
+            return _fail(name, n, f"image of {E.to_json()} does not contain it")
         if from_lagrangian(L) != E:
             return _fail(name, n, f"round trip broken at {E.to_json()}")
         images.add(L)

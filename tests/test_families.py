@@ -20,7 +20,6 @@ from catspan.gf2 import (
     is_isotropic,
     mask_to_string,
     span_masks,
-    subspace_sum,
 )
 from catspan.slots import embed
 
@@ -125,7 +124,7 @@ def test_build_families_validation():
 def test_lines_in_example():
     E = sub(4, (1, 2, 3), (2,))
     assert lines_in(E) == {Line(2, 2), Line(1, 3)}
-    assert lines_in(Subspace.zero(4)) == frozenset()
+    assert lines_in(Subspace(4, ())) == frozenset()
 
 
 def test_classify_examples():
@@ -189,8 +188,7 @@ def test_level_bijection_exhaustive():
             _, marked = classify_by_lines(E)
             assert E0 in table.f0_sub
             assert E0.dim + 1 == E.dim
-            line_span = span_masks([marked.mask()], D)
-            assert subspace_sum(E0, line_span) == E
+            assert span_masks(E0.rows + (marked.mask(),), D) == E
             assert E0 not in images
             images[E0] = E
             assert level_up(E0) == E

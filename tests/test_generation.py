@@ -56,7 +56,7 @@ def collection_first_slot_counts(D_max):
 
 
 def test_families_equal_the_plain_layer_builder():
-    f0, f1, coll = {Subspace.zero(0)}, set(), {Subspace.zero(0)}
+    f0, f1, coll = {Subspace(0, ())}, set(), {Subspace(0, ())}
     for D in range(2, 15, 2):
         f0 = layer(F0.step, D, f0, F0.base(D))
         f1 = layer(F1.step, D, f1, F1.base(D))
@@ -104,7 +104,7 @@ def test_first_slot_counts_match_the_tables():
 
 
 def test_v0_comes_from_the_walk():
-    zero = Subspace.zero(0)
+    zero = Subspace(0, ())
     assert build_families(0) == FamilyTable(0, frozenset([zero]), frozenset(), frozenset([zero]), frozenset())
     assert build_collection(0).members == {zero}
 

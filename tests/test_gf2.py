@@ -10,12 +10,10 @@ from catspan.gf2 import (
     form_masks,
     is_isotropic,
     mask_to_string,
-    null_space,
     odd_support,
     span_masks,
     string_to_mask,
     subspace_key,
-    subspace_sum,
 )
 from catspan.oracle import all_subspaces
 
@@ -151,7 +149,7 @@ def test_subspace_predicates():
 
 
 def test_is_isotropic_examples_and_oracle():
-    assert is_isotropic(Subspace.zero(4))
+    assert is_isotropic(Subspace(4, ()))
     assert is_isotropic(span_masks([0b0001, 0b0100], 4))
     assert not is_isotropic(span_masks([0b0001, 0b0010], 4))
     with pytest.raises(ValueError):
@@ -162,29 +160,12 @@ def test_is_isotropic_examples_and_oracle():
         assert is_isotropic(E) == want
 
 
-def test_null_space_against_direct_enumeration():
-    rng = random.Random(11)
-    for _ in range(80):
-        width = rng.randrange(1, 7)
-        masks = [rng.randrange(1 << width) for _ in range(rng.randrange(0, 4))]
-        basis = null_space(masks, width)
-        direct = {
-            x
-            for x in range(1 << width)
-            if all((m & x).bit_count() % 2 == 0 for m in masks)
-        }
-        assert set(members(span_masks(basis, width))) == direct
-        assert len(basis) == width - span_masks(masks, width).dim
-    with pytest.raises(ValueError):
-        null_space([0b100], 2)
-
-
 def test_subspace_serialization():
     E = span_masks([0b0111, 0b0100], 4)
     obj = E.to_json()
     assert obj["D"] == 4
     assert Subspace.from_json(obj) == E
-    assert Subspace.from_json({"D": 0, "basis": []}) == Subspace.zero(0)
+    assert Subspace.from_json({"D": 0, "basis": []}) == Subspace(0, ())
     with pytest.raises(ValueError):
         Subspace.from_json({"D": 4, "basis": ["101"]})
     with pytest.raises(ValueError):
@@ -206,7 +187,7 @@ def test_subspace_key_is_injective():
     keys = {subspace_key(E) for E in subs}
     assert len(keys) == len(subs)
     ordered = sorted(subs, key=subspace_key)
-    assert ordered[0] == Subspace.zero(4)
+    assert ordered[0] == Subspace(4, ())
     assert [E.dim for E in ordered] == sorted(E.dim for E in subs)
 
 
@@ -219,7 +200,7 @@ def test_symplectic_space_parts():
     assert odd_support(n) << 1 == 0b101010
     assert odd.dim == 3
     assert even.dim == 3
-    assert subspace_sum(odd, even).dim == n
+    assert span_masks(odd.rows + even.rows, n).dim == n
     assert 1 << 2 & odd_support(n)
     assert form_masks(1 << 1, 1 << 2) == 1
     assert is_isotropic(odd)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from _fixtures import C_V2, C_V4, C_V6, Z_V2, Z_V4, Z_V6, members, seq, sub
+from _fixtures import C_V2, C_V4, C_V6, Z_V2, Z_V4, Z_V6, seq, sub
 from catspan.counting import catalan, narayana
-from catspan.gf2 import Subspace, is_isotropic, mask_to_string, odd_support, span_masks
+from catspan.gf2 import Subspace, form_masks, is_isotropic, mask_to_string, odd_support, span_masks
 from catspan.noncrossing import (
     Arc,
     ArcSequence,
@@ -12,7 +12,6 @@ from catspan.noncrossing import (
     build_collection,
     decompose,
     enumerate_noncrossing,
-    even_annihilator,
     extend_seq,
     from_lagrangian,
     is_noncrossing,
@@ -206,7 +205,7 @@ def test_collection_counts_and_grades():
 
 def test_span_arcs_examples():
     assert span_arcs(seq((1, 3)), 4) == sub(4, (1, 3))
-    assert span_arcs(ArcSequence(), 4) == Subspace.zero(4)
+    assert span_arcs(ArcSequence(), 4) == Subspace(4, ())
     with pytest.raises(ValueError):
         span_arcs(seq((3, 5)), 4)
     with pytest.raises(ValueError):
@@ -235,37 +234,29 @@ def test_arcs_of_rejects_non_members():
         arcs_of(sub(4, (2,)))
 
 
-def test_even_annihilator_examples():
-    assert even_annihilator(sub(4, (1,))) == sub(4, (4,))
-    assert even_annihilator(sub(2)) == sub(2, (2,))
-    assert even_annihilator(sub(4, (1,), (3,))) == Subspace.zero(4)
-    assert even_annihilator(sub(6, (1, 5))) == sub(6, (2, 4), (4, 6))
-    with pytest.raises(ValueError):
-        even_annihilator(sub(4, (2,)))
-
-
-def test_even_annihilator_rank_identity():
-    # the form pairs the odd and even parts perfectly, so the annihilator of
-    # any odd-supported subspace has complementary dimension
-    from catspan.gf2 import form_masks
-    from catspan.oracle import all_subspaces
-
-    for E3 in all_subspaces(3):
-        rows = [sum(((r >> t) & 1) << (2 * t) for t in range(3)) for r in E3.rows]
-        E = span_masks(rows, 6)
-        ann = even_annihilator(E)
-        assert E.dim + ann.dim == 3
-        for v in members(ann):
-            for r in E.rows:
-                assert form_masks(v, r) == 0
-
-
 def test_lagrangian_correspondence_examples():
     assert to_lagrangian(sub(2)) == sub(2, (2,))
     assert to_lagrangian(sub(4, (1,))) == sub(4, (1,), (4,))
+    assert to_lagrangian(sub(4, (1,), (3,))) == sub(4, (1,), (3,))
+    assert to_lagrangian(sub(6, (1, 3, 5), (3,))) == sub(6, (1, 5), (3,), (2, 4))
+    assert to_lagrangian(sub(6)) == sub(6, (2,), (4,), (6,))
     assert from_lagrangian(sub(4, (1,), (4,))) == sub(4, (1,))
     with pytest.raises(ValueError):
         to_lagrangian(sub(6, (1, 5)))
+    with pytest.raises(ValueError):
+        to_lagrangian(sub(4, (2,)))
+
+
+def test_to_lagrangian_adds_the_brute_force_annihilator():
+    # the form pairs the odd and even parts perfectly, so the annihilator of
+    # E in the even part has complementary dimension and E + ann is Lagrangian
+    for D in range(0, 9, 2):
+        evens = [x for x in range(1 << D) if not x & ~(odd_support(D) << 1)]
+        assert len(evens) == 1 << (D // 2)
+        for E in build_collection(D).members:
+            ann = [x for x in evens if all(form_masks(x, r) == 0 for r in E.rows)]
+            assert to_lagrangian(E) == span_masks(E.rows + tuple(ann), D)
+            assert E.dim + span_masks(ann, D).dim == D // 2
 
 
 def test_from_lagrangian_rejects_foreign_lagrangians():

@@ -13,7 +13,7 @@ import pytest
 from _fixtures import isotropic
 from catspan.families import build_families, level_down, level_up
 from catspan.gf2 import Subspace, span_masks
-from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs
+from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs, to_lagrangian
 from catspan.oracle import all_subspaces
 from catspan.slots import COLLECTION, F0, F1, embed, peel, replay
 
@@ -76,6 +76,7 @@ def test_slot_steps_never_reduce_rows(monkeypatch):
         assert level_up(level_down(E)) == E
     for E in build_collection(8).members:
         arcs_of(E)
+        to_lagrangian(E)
     assert build_families.__wrapped__(8) == table
 
 
@@ -105,7 +106,7 @@ def test_peel_agrees_with_tables_on_brute_force_subspaces():
 
 def test_peel_rejects_odd_dimensions():
     with pytest.raises(ValueError, match="must be even"):
-        peel(Subspace.zero(3), F0)
+        peel(Subspace(3, ()), F0)
     with pytest.raises(ValueError, match="no member in V_0"):
         F1.base(0)
 

@@ -8,9 +8,9 @@ catspan.counting), never a cached builder, and runs the check at small D.
 
 import pytest
 
-from catspan import cli, counting, verify
+from catspan import cli, counting, noncrossing, verify
 from catspan.families import Line
-from catspan.gf2 import Subspace
+from catspan.gf2 import Subspace, span_masks
 from catspan.noncrossing import Arc, ArcSequence
 
 real_catalan = counting.catalan
@@ -19,9 +19,9 @@ real_gaussian = counting.gaussian_binomial
 # check, the name it calls in catspan.verify, the planted fault
 FAULTS = [
     (verify.check_families_isotropic, "is_isotropic", lambda E: False),
-    (verify.check_level_bijection, "level_up", lambda E: Subspace.zero(E.n)),
+    (verify.check_level_bijection, "level_up", lambda E: Subspace(E.n, ())),
     (verify.check_arc_bijection, "arcs_of", lambda E: ArcSequence()),
-    (verify.check_lagrangian, "from_lagrangian", lambda L: Subspace.zero(L.n)),
+    (verify.check_lagrangian, "from_lagrangian", lambda L: Subspace(L.n, ())),
     (verify.check_shift_lemmas, "shift_arc", lambda i, x, n: Arc(1, 1)),
     (verify.check_embedding_compat, "extend_seq", lambda i, seq, n: ArcSequence()),
     (verify.check_roundtrip, "decompose", lambda seq, n: (1, ArcSequence())),
@@ -49,6 +49,36 @@ def test_marked_line_runs_from_odd_to_even(monkeypatch):
     monkeypatch.setattr(verify, "classify_by_lines", lambda E: ("f1", Line(2, 3)))
     res = verify.check_level_bijection(4)
     assert res.counterexample == "marked line (2, 3) is not (odd, even)"
+
+
+@pytest.mark.parametrize(
+    "name, fault, member",
+    [
+        # the marked line is not in E
+        ("classify_by_lines", lambda E: ("f1", Line(1, 2)), "['1111']"),
+        # the image is too small
+        ("level_down", lambda E: Subspace(E.n, ()), "['1000', '0011']"),
+        # the image <e_4> is not inside E = <e_1, e_3 + e_4>
+        ("level_down", lambda E: span_masks([1 << (E.n - 1)] * (E.dim - 1), E.n), "['1000', '0011']"),
+    ],
+    ids=["line-outside", "image-too-small", "image-outside"],
+)
+def test_marked_line_must_complete_the_image(monkeypatch, name, fault, member):
+    monkeypatch.setattr(verify, name, fault)
+    res = verify.check_level_bijection(4)
+    assert res.counterexample == f"{{'D': 4, 'basis': {member}}} != image + marked line"
+
+
+def test_lagrangian_image_must_contain_its_source(monkeypatch):
+    # a relabelled correspondence still lands in the Lagrangian level, round
+    # trips and is onto; only the containment clause catches it
+    coll = noncrossing.build_collection(4).sorted_members()
+    relabel = dict(zip(coll, coll[1:] + coll[:1]))
+    back = {v: k for k, v in relabel.items()}
+    monkeypatch.setattr(verify, "to_lagrangian", lambda E: noncrossing.to_lagrangian(relabel[E]))
+    monkeypatch.setattr(verify, "from_lagrangian", lambda L: back[noncrossing.from_lagrangian(L)])
+    res = verify.check_lagrangian(4)
+    assert res.counterexample == "image of {'D': 4, 'basis': ['0010']} does not contain it"
 
 
 def test_planted_fault_fails_the_counts(monkeypatch):
