@@ -7,11 +7,8 @@ import json
 import sys
 from functools import partial
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from .conjecture import gl_match, load_family
-from .counting import verify_counts
 from .families import build_families, level_down, level_up
 from .gf2 import Subspace, subspace_key
 from .noncrossing import (
@@ -25,7 +22,6 @@ from .noncrossing import (
     span_arcs,
     to_lagrangian,
 )
-from .oracle import BUDGET_VARS, OracleBudget
 
 SUBSPACE_KINDS = ("f0", "f1", "lagrangian", "collection")
 # map ops that take a subspace; span-arcs and decompose take an arc set
@@ -145,6 +141,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import BUDGET_VARS, OracleBudget
     from .verify import ORACLE_CAPS, run_checks
     budget = OracleBudget.from_env()
     counts, results, skipped = run_checks(args.d_min, args.d_max, args.oracle, budget)
@@ -201,6 +198,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    from .conjecture import gl_match, load_family
     fam = load_family(args.family)
     result = gl_match(fam)
     print(json.dumps(result.to_json(fam.d)))
@@ -209,8 +207,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0 if result.found else 1
 
 
-def _export(out: Path, stem: str, header: list[str], rows: Iterable[list], write_json) -> None:
-    """Write one table as STEM.csv, then STEM.json (write_json(fh) and a newline)."""
+def _export(out, stem: str, header: list[str], rows: Iterable[list], write_json) -> None:
+    """Write one table as OUT/STEM.csv, then OUT/STEM.json (write_json(fh) and a newline)."""
     path = out / f"{stem}.csv"
     with path.open("w", encoding="utf-8") as fh:
         _write_csv(fh, header, rows)
@@ -223,6 +221,8 @@ def _export(out: Path, stem: str, header: list[str], rows: Iterable[list], write
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from pathlib import Path
+    from .counting import verify_counts
     n = args.D
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

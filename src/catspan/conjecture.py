@@ -128,7 +128,6 @@ def gl_match(fam: SuppliedFamily) -> MatchResult:
     spanned = {0}
     images = [0] * len(gens)
     tried = 0
-    witness: list[int] | None = None
 
     def walk(r: int, images: list[int]) -> list[int] | None:
         nonlocal tried

@@ -159,6 +159,8 @@ def shift_arc(i: int, arc: Arc, n: int) -> Arc:
 
 def extend_seq(i: int, seq: ArcSequence, n: int) -> ArcSequence:
     """Shift every arc past slot i; for odd i also adjoin the unit arc (i, i)."""
+    if not 1 <= i <= n:
+        raise ValueError(f"slot {i} outside [1, {n}]")
     mapped = [shift_arc(i, x, n) for x in seq]
     if i % 2:
         mapped.append(Arc(i, i))

@@ -1,10 +1,16 @@
-"""Package imports: no private names across modules, no stale exports,
-and README's Python examples run against the package as it is."""
+"""Package imports: no private names across modules, no stale exports, a
+package that loads each module on first use, and README's Python examples
+run against the package as it is."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import catspan
 
@@ -36,6 +42,67 @@ def test_every_export_resolves():
         if not hasattr(mod, name)
     ]
     assert stale == []
+
+
+EXPORTS = [
+    "Arc", "ArcSequence", "FamilyTable", "Line", "MatchResult", "OddCollection", "OracleBudget",
+    "Subspace", "SuppliedFamily", "all_isotropic", "all_subspaces", "arcs_of", "build_collection",
+    "build_families", "catalan", "classify_by_lines", "decompose", "enumerate_noncrossing",
+    "extend_seq", "fingerprint", "from_lagrangian", "gaussian_binomial", "gl_match", "is_isotropic",
+    "is_noncrossing", "level_down", "level_up", "lines_in", "load_family", "narayana",
+    "noncrossing_direct", "shift_arc", "span_arcs", "span_masks", "to_lagrangian", "verify_counts",
+]
+SUBMODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+
+def fresh(code: str) -> str:
+    """Last line that CODE prints in a new interpreter importing catspan from ./src."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.splitlines()[-1]
+
+
+LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('catspan.'))))"
+
+
+def test_import_loads_no_submodule():
+    assert fresh(f"import catspan; {LOADED}") == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--op", "span-arcs", "--D", "4", "--input", "[[1, 3]]"],
+        ["map", "--op", "decompose", "--D", "4", "--input", "[[1, 3]]"],
+        ["map", "--op", "level-down", "--D", "4", "--input", '{"basis": ["1110"]}'],
+        ["enumerate", "--kind", "collection", "--D", "4"],
+    ],
+)
+def test_queries_load_only_what_they_use(argv):
+    loaded = fresh(f"import catspan.cli; catspan.cli.main({argv!r}); {LOADED}")
+    assert loaded.split() == [f"catspan.{m}" for m in ("cli", "families", "gf2", "noncrossing", "slots")]
+
+
+def test_every_name_is_exported_once():
+    assert sorted(catspan.__all__) == EXPORTS
+    star = fresh("from catspan import *; print(sorted(k for k in dir() if not k.startswith('_')))")
+    assert star == str(EXPORTS)
+
+
+def test_every_submodule_resolves_after_a_bare_import():
+    code = f"import catspan; print([getattr(catspan, m).__name__ for m in {SUBMODULES!r}])"
+    assert fresh(code) == str([f"catspan.{m}" for m in SUBMODULES])
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "seq_key"])  # seq_key is not re-exported
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"module 'catspan' has no attribute '{name}'"):
+        getattr(catspan, name)
 
 
 def test_readme_python_blocks_run():

@@ -124,6 +124,14 @@ def test_extend_seq_examples():
     assert extend_seq(5, seq((1, 3)), 6) == seq((1, 3), (5, 5))
 
 
+@pytest.mark.parametrize("i", [0, 5])
+@pytest.mark.parametrize("arcs", [(), ((1, 1),)])
+def test_extend_seq_rejects_a_slot_outside_v_n(i, arcs):
+    # the empty sequence has no arc to shift, so the slot check cannot rest on shift_arc
+    with pytest.raises(ValueError, match=rf"^slot {i} outside \[1, 4\]$"):
+        extend_seq(i, seq(*arcs), 4)
+
+
 def test_extend_seq_closure_exhaustive():
     for D in (4, 6, 8):
         inner = enumerate_noncrossing(D - 2)
