@@ -3,9 +3,10 @@
 These deliberately avoid the inductive constructions.  Subspaces come from
 direct RREF cell enumeration: per pivot pattern, each row lists its values
 once and `product` combines them, in the order of a binary count over the
-free entries; the isotropy filter runs on those raw rows.  Noncrossing sets
-come from filtering the full power set of arcs.  Desk-scale only; the budgets
-make the cost ceiling explicit.
+free entries.  The isotropy oracle takes the same rows in the same order,
+but drops a partial choice at its first pair of rows that pairs to 1.
+Noncrossing sets come from filtering the full power set of arcs.  Desk-scale
+only; the budgets make the cost ceiling explicit.
 """
 
 from __future__ import annotations
@@ -63,19 +64,23 @@ def _row_values(n: int, p: int, pivots: tuple[int, ...]) -> list[int]:
     return values
 
 
-def cells(n: int, budget: OracleBudget | None = None) -> Iterator[tuple[int, ...]]:
-    """Canonical rows of every subspace of V_n, by dimension; raises at the call."""
+def _patterns(n: int, budget: OracleBudget | None) -> Iterator[list[list[int]]]:
+    """Each pivot pattern's row factors, last row first; raises at the call."""
     budget = budget or OracleBudget()
     if n < 0:
         raise ValueError(f"ambient dimension must be >= 0, got {n}")
     if n > budget.max_dim:
         raise ValueError(f"ambient dimension {n} exceeds oracle budget {budget.max_dim}")
     return (
-        rows[::-1]
+        [_row_values(n, p, pivots) for p in reversed(pivots)]
         for k in range(n + 1)
         for pivots in combinations(range(n), k)
-        for rows in product(*(_row_values(n, p, pivots) for p in reversed(pivots)))
     )
+
+
+def cells(n: int, budget: OracleBudget | None = None) -> Iterator[tuple[int, ...]]:
+    """Canonical rows of every subspace of V_n, by dimension; raises at the call."""
+    return (rows[::-1] for factors in _patterns(n, budget) for rows in product(*factors))
 
 
 def all_subspaces(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
@@ -83,19 +88,27 @@ def all_subspaces(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
     return [Subspace(n, rows) for rows in cells(n, budget)]
 
 
-def _rows_isotropic(rows: tuple[int, ...]) -> bool:
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if form_masks(rows[i], rows[j]):
-                return False
-    return True
-
-
 def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
-    """Every isotropic subspace of V_n, filtered on the raw cell rows."""
+    """Every isotropic subspace of V_n, in `cells` order.
+
+    Per pivot pattern the rows are chosen in `product` order, last row first,
+    and a partial choice is dropped at the first pair of rows that pairs to 1:
+    isotropy is pairwise, so no completion of it is isotropic.
+    """
     if n % 2:
         raise ValueError(f"ambient dimension must be even, got {n}")
-    return [Subspace(n, rows) for rows in cells(n, budget) if _rows_isotropic(rows)]
+    out = []
+    for factors in _patterns(n, budget):
+        chosen = [()]
+        for values in factors:
+            chosen = [
+                (v,) + rows
+                for rows in chosen
+                for v in values
+                if not any(form_masks(v, r) for r in rows)
+            ]
+        out += [Subspace(n, rows) for rows in chosen]
+    return out
 
 
 def noncrossing_direct(n: int, budget: OracleBudget | None = None) -> list[ArcSequence]:

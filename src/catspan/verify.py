@@ -10,6 +10,7 @@ a fault under each check to show that it can fail.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -53,23 +54,45 @@ def _ok(name: str, D: int) -> CheckResult:
     return CheckResult(name, D, True)
 
 
-def check_families_isotropic(n: int) -> CheckResult:
+def _canonical(members) -> list:
+    return sorted(members, key=subspace_key)
+
+
+def _sorted_on_failure(check):
+    """Walk the table as stored, and only after a failure walk it again in
+    canonical order, to report the canonically first counterexample.
+
+    A collision, a missed image or a bad member is there in either order, so
+    the first walk fails exactly when the second does.
+    """
+
+    @functools.wraps(check)
+    def run(*args):
+        res = check(*args, order=lambda members: members)
+        return res if res.ok else check(*args, order=_canonical)
+
+    return run
+
+
+@_sorted_on_failure
+def check_families_isotropic(n: int, *, order) -> CheckResult:
     name = "families-isotropic"
     table = build_families(n)
-    for E in sorted(table.f0 | table.f1, key=subspace_key):
+    for E in order(table.f0 | table.f1):
         if not is_isotropic(E):
             return _fail(name, n, f"non-isotropic member {E.to_json()}")
     if table.f0 & table.f1:
-        clash = sorted(table.f0 & table.f1, key=subspace_key)[0]
+        clash = _canonical(table.f0 & table.f1)[0]
         return _fail(name, n, f"levels overlap at {clash.to_json()}")
     return _ok(name, n)
 
 
-def check_level_bijection(n: int) -> CheckResult:
+@_sorted_on_failure
+def check_level_bijection(n: int, *, order) -> CheckResult:
     name = "level-bijection"
     table = build_families(n)
     images = {}
-    for E in sorted(table.f1, key=subspace_key):
+    for E in order(table.f1):
         kind, marked = classify_by_lines(E)
         if kind != "f1" or marked is None:
             return _fail(name, n, f"level-1 member misclassified as {kind}: {E.to_json()}")
@@ -88,7 +111,7 @@ def check_level_bijection(n: int) -> CheckResult:
         if level_up(E0) != E:
             return _fail(name, n, f"level_up(level_down(E)) != E at {E.to_json()}")
     if set(images) != set(table.f0_sub):
-        missing = sorted(set(table.f0_sub) - set(images), key=subspace_key)[0]
+        missing = _canonical(set(table.f0_sub) - set(images))[0]
         return _fail(name, n, f"not surjective, missed {missing.to_json()}")
     return _ok(name, n)
 
@@ -109,12 +132,13 @@ def check_arc_bijection(n: int) -> CheckResult:
         if arcs_of(E) != seq:
             return _fail(name, n, f"arcs_of inverts wrongly at {seq.to_json()}")
     if set(seen) != set(coll.members):
-        missing = sorted(set(coll.members) - set(seen), key=subspace_key)[0]
+        missing = _canonical(set(coll.members) - set(seen))[0]
         return _fail(name, n, f"not surjective, missed {missing.to_json()}")
     return _ok(name, n)
 
 
-def check_lagrangian(n: int) -> CheckResult:
+@_sorted_on_failure
+def check_lagrangian(n: int, *, order) -> CheckResult:
     """to_lagrangian(E) is E + E^!, E^! the annihilator of E in the even part.
 
     L lies in the Lagrangian level, so it is isotropic of dimension n/2.  It
@@ -126,7 +150,7 @@ def check_lagrangian(n: int) -> CheckResult:
     coll = build_collection(n)
     table = build_families(n)
     images = set()
-    for E in coll.sorted_members():
+    for E in order(coll.members):
         L = to_lagrangian(E)
         if L not in table.f0_lagrangian:
             return _fail(name, n, f"{E.to_json()} maps outside the Lagrangian level")
@@ -136,7 +160,7 @@ def check_lagrangian(n: int) -> CheckResult:
             return _fail(name, n, f"round trip broken at {E.to_json()}")
         images.add(L)
     if images != set(table.f0_lagrangian):
-        missing = sorted(set(table.f0_lagrangian) - images, key=subspace_key)[0]
+        missing = _canonical(set(table.f0_lagrangian) - images)[0]
         return _fail(name, n, f"not surjective, missed {missing.to_json()}")
     return _ok(name, n)
 
@@ -214,7 +238,7 @@ def check_inductive_closure(n: int) -> CheckResult:
 def check_oracle_noncrossing(n: int, budget: oracle_mod.OracleBudget | None = None) -> CheckResult:
     name = "oracle-noncrossing"
     direct = oracle_mod.noncrossing_direct(n, budget)
-    fast = sorted(enumerate_noncrossing(n), key=seq_key)
+    fast = list(enumerate_noncrossing(n))
     if direct != fast:
         return _fail(name, n, f"{len(direct)} filtered vs {len(fast)} enumerated")
     return _ok(name, n)
@@ -230,7 +254,8 @@ def check_oracle_subspace_counts(n: int, budget: oracle_mod.OracleBudget | None 
     return _ok(name, n)
 
 
-def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None) -> CheckResult:
+@_sorted_on_failure
+def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None, *, order) -> CheckResult:
     """Brute-force isotropic subspaces against the family tables.
 
     Family members must all appear isotropic and classify to their own level;
@@ -242,9 +267,9 @@ def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None)
     iso = set(oracle_mod.all_isotropic(n, budget=budget))
     fam = table.f0 | table.f1
     if not fam <= iso:
-        missing = sorted(fam - iso, key=subspace_key)[0]
+        missing = _canonical(fam - iso)[0]
         return _fail(name, n, f"family member not in brute-force list: {missing.to_json()}")
-    for E in sorted(fam, key=subspace_key):
+    for E in order(fam):
         kind, _ = classify_by_lines(E)
         want = "f0" if E in table.f0 else "f1"
         if kind != want:

@@ -84,6 +84,7 @@ def test_all_isotropic_frozen_counts():
         2: (4, {0: 1, 1: 3}),
         4: (31, {0: 1, 1: 15, 2: 15}),
         6: (514, {0: 1, 1: 63, 2: 315, 3: 135}),
+        8: (19381, {0: 1, 1: 255, 2: 5355, 3: 11475, 4: 2295}),
     }
     for D, (total, hist) in expected.items():
         iso = all_isotropic(D)
@@ -94,6 +95,8 @@ def test_all_isotropic_frozen_counts():
             assert count == isotropic_closed_form(d, k)
     with pytest.raises(ValueError):
         all_isotropic(3)
+    with pytest.raises(ValueError, match="exceeds oracle budget 8"):
+        all_isotropic(10)
 
 
 def test_budget_limits():

@@ -9,8 +9,8 @@ catspan.counting), never a cached builder, and runs the check at small D.
 import pytest
 
 from catspan import cli, counting, noncrossing, verify
-from catspan.families import Line
-from catspan.gf2 import Subspace, span_masks
+from catspan.families import Line, build_families
+from catspan.gf2 import Subspace, span_masks, subspace_key
 from catspan.noncrossing import Arc, ArcSequence
 
 real_catalan = counting.catalan
@@ -43,6 +43,28 @@ def test_planted_fault_fails_the_check(monkeypatch, check, name, fault):
     res = check(4)
     assert not res.ok and res.D == 4
     assert res.counterexample
+
+
+def test_passing_table_walks_sort_nothing(monkeypatch):
+    def no_sort(E):
+        raise AssertionError("a passing check sorted a table")
+
+    monkeypatch.setattr(verify, "subspace_key", no_sort)
+    monkeypatch.setattr(noncrossing, "subspace_key", no_sort)
+    assert verify.check_families_isotropic(8).ok
+    assert verify.check_level_bijection(8).ok
+    assert verify.check_lagrangian(8).ok
+    assert verify.check_oracle_families(6).ok
+
+
+def test_failure_names_the_canonically_first_member(monkeypatch):
+    # fails every dim-2 member, not every member: the stored walk meets some
+    # failing member first, the report still names the least in canonical order
+    monkeypatch.setattr(verify, "is_isotropic", lambda E: E.dim != 2)
+    table = build_families(8)
+    first = min((E for E in table.f0 | table.f1 if E.dim == 2), key=subspace_key)
+    res = verify.check_families_isotropic(8)
+    assert res.counterexample == f"non-isotropic member {first.to_json()}"
 
 
 def test_marked_line_runs_from_odd_to_even(monkeypatch):
