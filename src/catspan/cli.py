@@ -9,12 +9,11 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .families import build_families, level_down, level_up
+from .families import level_down, level_up
 from .gf2 import Subspace, subspace_key
 from .noncrossing import (
     ArcSequence,
     arcs_of,
-    build_collection,
     decompose,
     enumerate_noncrossing,
     from_lagrangian,
@@ -22,6 +21,7 @@ from .noncrossing import (
     span_arcs,
     to_lagrangian,
 )
+from .slots import COLLECTION, F0, F1, members
 
 SUBSPACE_KINDS = ("f0", "f1", "lagrangian", "collection")
 # map ops that take a subspace; span-arcs and decompose take an arc set
@@ -75,17 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _members(kind: str, n: int) -> list[tuple]:
-    """One table in canonical order, each member rendered once to its parts, whose
+    """One level in canonical order, each member rendered once to its parts, whose
     number is its grade: an arc set's (a, b) pairs or a subspace's basis strings."""
     if kind == "arcs":
         return [pairs for _, pairs in map(seq_key, enumerate_noncrossing(n))]
-    if kind == "collection":
-        members = build_collection(n).members
-    else:
-        table = build_families(n)
-        members = {"f0": table.f0, "f1": table.f1, "lagrangian": table.f0_lagrangian}[kind]
+    walk = members({"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind], n)
+    if kind == "lagrangian":
+        walk = (E for E in walk if 2 * E.dim == n)
     # canonical RREF makes each key unique, so sorting the keys sorts the members
-    return [rows for _, rows in sorted(map(subspace_key, members))]
+    return [rows for _, rows in sorted(map(subspace_key, walk))]
 
 
 def _csv_header(kind: str) -> list[str]:

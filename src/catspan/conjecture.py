@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .gf2 import Subspace, mask_to_string, span_masks, subspace_key
-from .noncrossing import build_collection
+from .slots import COLLECTION, members
 
 __all__ = [
     "SuppliedFamily",
@@ -92,10 +92,7 @@ def _compress_odd(m: int) -> int:
 def collection_as_plain(d: int) -> frozenset[Subspace]:
     """The odd-part collection at ambient 2d, rewritten in F_2^d coordinates
     (e_{2k-1} becomes the k-th coordinate)."""
-    out = set()
-    for E in build_collection(2 * d).members:
-        out.add(span_masks((_compress_odd(r) for r in E.rows), d))
-    return frozenset(out)
+    return frozenset(span_masks(map(_compress_odd, E.rows), d) for E in members(COLLECTION, 2 * d))
 
 
 def _apply(rows: list[int], m: int) -> int:

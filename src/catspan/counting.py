@@ -1,18 +1,25 @@
 """Exact Catalan/Narayana arithmetic and the cardinality checks.
 
 Everything is arbitrary-precision integer arithmetic; no floats anywhere.
+The observed counts tally walks of each level, never the closed forms.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+
+from .noncrossing import enumerate_noncrossing
+from .slots import COLLECTION, F0, F1, Rule, members
 
 __all__ = [
     "catalan",
     "narayana",
     "gaussian_binomial",
     "CountRow",
+    "grades",
     "verify_counts",
 ]
 
@@ -59,46 +66,35 @@ class CountRow:
         return self.observed == self.expected
 
 
+@lru_cache(maxsize=None)
+def grades(rule: Rule, D: int) -> tuple[int, ...]:
+    """Members of the level in V_D per dimension 0..D, from one walk; cached at
+    D + 1 integers, so the count rows and verify's surjectivity share it."""
+    tally = Counter(E.dim for E in members(rule, D))
+    return tuple(tally[k] for k in range(D + 1))
+
+
 def verify_counts(D: int) -> tuple[CountRow, ...]:
-    """Compare every table built at ambient dimension D with its closed form.
+    """Compare every level walked at ambient dimension D with its closed form.
 
     Level-0 family: C(D+1, D/2).  Level-1: C(D+1, (D-2)/2).  Lagrangian
     level-0 members, the odd-part collection, and the noncrossing arc sets
     all have Catalan cardinality Cat_{d+1}; the gradings are Narayana.
     """
-    # imported here so counting stays leaf-level for the builders' own tests
-    from .families import build_families
-    from .noncrossing import build_collection, enumerate_noncrossing
-
     if D < 2 or D % 2:
         raise ValueError(f"ambient dimension must be even and >= 2, got {D}")
     d = D // 2
-    table = build_families(D)
-    coll = build_collection(D)
-    seqs = enumerate_noncrossing(D)
+    f0, coll = grades(F0, D), grades(COLLECTION, D)
+    arcs = Counter(map(len, enumerate_noncrossing(D)))
 
     rows = [
-        CountRow(D, "f0", len(table.f0), math.comb(D + 1, D // 2)),
-        CountRow(D, "f1", len(table.f1), math.comb(D + 1, (D - 2) // 2)),
-        CountRow(D, "lagrangian", len(table.f0_lagrangian), catalan(d + 1)),
-        CountRow(D, "collection", len(coll.members), catalan(d + 1)),
-        CountRow(D, "arcs", len(seqs), catalan(d + 1)),
+        CountRow(D, "f0", sum(f0), math.comb(D + 1, D // 2)),
+        CountRow(D, "f1", sum(grades(F1, D)), math.comb(D + 1, (D - 2) // 2)),
+        CountRow(D, "lagrangian", f0[d], catalan(d + 1)),
+        CountRow(D, "collection", sum(coll), catalan(d + 1)),
+        CountRow(D, "arcs", arcs.total(), catalan(d + 1)),
     ]
     for s in range(d + 1):
-        rows.append(
-            CountRow(
-                D,
-                f"arcs[s={s}]",
-                sum(1 for seq in seqs if len(seq) == s),
-                narayana(d + 1, s + 1),
-            )
-        )
-        rows.append(
-            CountRow(
-                D,
-                f"collection[s={s}]",
-                sum(1 for E in coll.members if E.dim == s),
-                narayana(d + 1, s + 1),
-            )
-        )
+        rows.append(CountRow(D, f"arcs[s={s}]", arcs[s], narayana(d + 1, s + 1)))
+        rows.append(CountRow(D, f"collection[s={s}]", coll[s], narayana(d + 1, s + 1)))
     return tuple(rows)

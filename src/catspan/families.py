@@ -13,7 +13,6 @@ level-0 part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .gf2 import Subspace, span_masks
 from .slots import F0, F1, members, peel
@@ -60,9 +59,8 @@ class FamilyTable:
     f0_sub: frozenset[Subspace]
 
 
-@lru_cache(maxsize=None)
 def build_families(n: int) -> FamilyTable:
-    """Both family levels in V_n, each member once from its canonical parent."""
+    """Both family levels in V_n as one whole table, walked afresh each call."""
     f0 = frozenset(set(members(F0, n)))  # copied from a set, the table is sized to fit, not grown
     half = n // 2
     lag = frozenset(E for E in f0 if E.dim == half)

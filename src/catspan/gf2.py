@@ -20,6 +20,7 @@ __all__ = [
     "string_to_mask",
     "subspace_key",
     "odd_support",
+    "check_even",
 ]
 
 
@@ -58,6 +59,12 @@ def _rref(masks: Iterable[int]) -> tuple[int, ...]:
             rows.append(m)
     rows.sort(key=lambda r: r & -r)
     return tuple(rows)
+
+
+def check_even(n: int) -> None:
+    """Raise unless n is an even ambient dimension >= 0."""
+    if n < 0 or n % 2:
+        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
 
 
 def odd_support(n: int) -> int:

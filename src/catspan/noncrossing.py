@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .gf2 import Subspace, odd_support, span_masks, subspace_key
+from .gf2 import Subspace, check_even, odd_support, span_masks, subspace_key
 from .slots import COLLECTION, F0, members, peel, replay
 
 __all__ = [
@@ -124,8 +124,7 @@ def seq_key(seq: ArcSequence) -> tuple:
 @lru_cache(maxsize=None)
 def enumerate_noncrossing(n: int) -> tuple[ArcSequence, ...]:
     """All noncrossing arc sets over odd indices in [1, n-1], canonically sorted."""
-    if n < 0 or n % 2:
-        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
+    check_even(n)
     arcs = [Arc(a, b) for a in range(1, n, 2) for b in range(a, n, 2)]
     out: list[ArcSequence] = []
     chosen: list[Arc] = []
@@ -212,16 +211,14 @@ class OddCollection:
         return sorted(self.members, key=subspace_key)
 
 
-@lru_cache(maxsize=None)
 def build_collection(n: int) -> OddCollection:
-    """The odd-part collection in V_n, each member once from its canonical parent."""
+    """The odd-part collection in V_n as one whole table, walked afresh each call."""
     return OddCollection(n, frozenset(set(members(COLLECTION, n))))  # set: see build_families
 
 
 def span_arcs(seq: ArcSequence, n: int) -> Subspace:
     """Span of the arc vectors; lands in the collection with dim = arc count."""
-    if n < 0 or n % 2:
-        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
+    check_even(n)
     for x in seq:
         if x.b > n - 1:
             raise ValueError(f"arc ({x.a}, {x.b}) does not fit in V_{n}")

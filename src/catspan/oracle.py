@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .gf2 import Subspace, form_masks
+from .gf2 import Subspace, check_even, form_masks
 from .noncrossing import Arc, ArcSequence, is_noncrossing, seq_key
 
 __all__ = [
@@ -114,8 +114,7 @@ def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
 def noncrossing_direct(n: int, budget: OracleBudget | None = None) -> list[ArcSequence]:
     """Noncrossing arc sets by filtering the full power set of arcs."""
     budget = budget or OracleBudget()
-    if n < 0 or n % 2:
-        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
+    check_even(n)
     if n > budget.max_odd_dim:
         raise ValueError(f"ambient dimension {n} exceeds oracle budget {budget.max_odd_dim}")
     arcs = [Arc(a, b) for a in range(1, n, 2) for b in range(a, n, 2)]

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .gf2 import Subspace, odd_support
+from .gf2 import Subspace, check_even, odd_support
 
 __all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "members", "replay", "first_slot", "peel"]
 
@@ -116,8 +116,7 @@ def layer(step: Callable[[int, T, int], T], n: int, below: Iterable[T], base: T)
 def members(rule: Rule, n: int) -> Iterator[Subspace]:
     """Every member of the level in V_n, each once: a depth-first walk over
     canonical parents from the base of each V_m (see the module docstring)."""
-    if n < 0 or n % 2:
-        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
+    check_even(n)
     stack = [(rule.base(m), m) for m in range(2 * rule.full_base, n + 1, 2)]
     while stack:
         P, m = stack.pop()
@@ -172,8 +171,7 @@ def peel(E: Subspace, rule: Rule) -> list[int] | None:
     the base.
     """
     n = E.n
-    if n < 0 or n % 2:
-        raise ValueError(f"ambient dimension must be even and >= 0, got {n}")
+    check_even(n)
     if rule.odd_only and any(r & ~odd_support(n) for r in E.rows):
         return None
     slots = []

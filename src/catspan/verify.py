@@ -1,7 +1,9 @@
 """Runtime verification suite behind the CLI verify command.
 
 Each check walks one identity exhaustively at the given ambient dimension
-and reports the first counterexample in full when something breaks.  These
+and reports the first counterexample in full when something breaks.  The
+levels come from slots.members, and a map's image is a member when the
+inverse map's own peel accepts it.  These
 checks are the one implementation of each identity: the installed tool runs
 them on demand, and the acceptance gate runs them at scale.  The unit tests
 keep their own independent loops at small D, and tests/test_verify.py plants
@@ -13,15 +15,15 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .counting import CountRow, gaussian_binomial, verify_counts
-from .families import build_families, classify_by_lines, level_down, level_up
+from .counting import CountRow, gaussian_binomial, grades, verify_counts
+from .families import classify_by_lines, level_down, level_up
 from .gf2 import is_isotropic, subspace_key
 from .noncrossing import (
     Arc,
     ArcSequence,
     arcs_of,
-    build_collection,
     decompose,
     enumerate_noncrossing,
     extend_seq,
@@ -32,7 +34,7 @@ from .noncrossing import (
     span_arcs,
     to_lagrangian,
 )
-from .slots import COLLECTION, layer
+from .slots import COLLECTION, F0, F1, layer, members
 from . import oracle as oracle_mod
 
 __all__ = ["CheckResult", "run_checks", "ORACLE_CHECKS"]
@@ -54,35 +56,51 @@ def _ok(name: str, D: int) -> CheckResult:
     return CheckResult(name, D, True)
 
 
-def _canonical(members) -> list:
-    return sorted(members, key=subspace_key)
+def _canonical(items) -> list:
+    return sorted(items, key=subspace_key)
 
 
 def _sorted_on_failure(check):
-    """Walk the table as stored, and only after a failure walk it again in
-    canonical order, to report the canonically first counterexample.
+    """Walk each level as slots.members yields it, and only after a failure
+    walk it again in canonical order, to report the first counterexample.
 
-    A collision, a missed image or a bad member is there in either order, so
-    the first walk fails exactly when the second does.
+    A missed image or a bad member is there in either order, so the first
+    walk fails exactly when the second does.
     """
 
     @functools.wraps(check)
     def run(*args):
-        res = check(*args, order=lambda members: members)
+        res = check(*args, order=lambda walk: walk)
         return res if res.ok else check(*args, order=_canonical)
 
     return run
 
 
+def _onto(name: str, n: int, count: int, rule, dims, images) -> CheckResult:
+    """Onto the members of rule's level with dimension in dims: each of the
+    count source members maps into them with a left inverse, so it is onto
+    exactly when their walk counts as many.  Only on a mismatch is images, a
+    lazy walk, kept as a set, to name the canonically first member missed."""
+    if count == sum(grades(rule, n)[k] for k in dims):
+        return _ok(name, n)
+    hit = set(images)
+    missed = _canonical(E for E in members(rule, n) if E.dim in dims and E not in hit)
+    if not missed:  # every target member is hit, so the source walk repeats one
+        return _fail(name, n, f"not injective: {count} members, {len(hit)} images")
+    return _fail(name, n, f"not surjective, missed {missed[0].to_json()}")
+
+
 @_sorted_on_failure
 def check_families_isotropic(n: int, *, order) -> CheckResult:
     name = "families-isotropic"
-    table = build_families(n)
-    for E in order(table.f0 | table.f1):
+    f1 = set(members(F1, n))
+    hits = 0  # each f1 member is in f1, and so is each f0 member in both levels
+    for E in order(chain(members(F0, n), f1)):
         if not is_isotropic(E):
             return _fail(name, n, f"non-isotropic member {E.to_json()}")
-    if table.f0 & table.f1:
-        clash = _canonical(table.f0 & table.f1)[0]
+        hits += E in f1
+    if hits > len(f1):
+        clash = _canonical(E for E in members(F0, n) if E in f1)[0]
         return _fail(name, n, f"levels overlap at {clash.to_json()}")
     return _ok(name, n)
 
@@ -90,9 +108,8 @@ def check_families_isotropic(n: int, *, order) -> CheckResult:
 @_sorted_on_failure
 def check_level_bijection(n: int, *, order) -> CheckResult:
     name = "level-bijection"
-    table = build_families(n)
-    images = {}
-    for E in order(table.f1):
+    count = 0
+    for E in order(members(F1, n)):
         kind, marked = classify_by_lines(E)
         if kind != "f1" or marked is None:
             return _fail(name, n, f"level-1 member misclassified as {kind}: {E.to_json()}")
@@ -100,41 +117,35 @@ def check_level_bijection(n: int, *, order) -> CheckResult:
         if marked.a % 2 == 0 or marked.b % 2:
             return _fail(name, n, f"marked line ({marked.a}, {marked.b}) is not (odd, even)")
         E0 = level_down(E)
-        if E0 not in table.f0_sub:
+        try:
+            up = level_up(E0)  # peels E0 at level 0 and rejects a Lagrangian
+        except ValueError:
             return _fail(name, n, f"image {E0.to_json()} is not sub-Lagrangian level-0")
         m = marked.mask()
         if m not in E or m in E0 or not E.contains_subspace(E0) or E0.dim + 1 != E.dim:
             return _fail(name, n, f"{E.to_json()} != image + marked line")
-        if E0 in images:
-            return _fail(name, n, f"level_down collides at {E0.to_json()}")
-        images[E0] = E
-        if level_up(E0) != E:
+        if up != E:
             return _fail(name, n, f"level_up(level_down(E)) != E at {E.to_json()}")
-    if set(images) != set(table.f0_sub):
-        missing = _canonical(set(table.f0_sub) - set(images))[0]
-        return _fail(name, n, f"not surjective, missed {missing.to_json()}")
-    return _ok(name, n)
+        count += 1
+    return _onto(name, n, count, F0, range(n // 2), map(level_down, members(F1, n)))
 
 
 def check_arc_bijection(n: int) -> CheckResult:
     name = "arc-bijection"
-    coll = build_collection(n)
-    seen = {}
+    count = 0
     for seq in enumerate_noncrossing(n):
         E = span_arcs(seq, n)
         if E.dim != len(seq):
             return _fail(name, n, f"grade broken: {seq.to_json()} spans dim {E.dim}")
-        if E not in coll.members:
+        try:
+            back = arcs_of(E)  # peels E in the collection
+        except ValueError:
             return _fail(name, n, f"{seq.to_json()} spans a non-member {E.to_json()}")
-        if E in seen:
-            return _fail(name, n, f"{seq.to_json()} and {seen[E].to_json()} collide")
-        seen[E] = seq
-        if arcs_of(E) != seq:
+        if back != seq:
             return _fail(name, n, f"arcs_of inverts wrongly at {seq.to_json()}")
-    if set(seen) != set(coll.members):
-        missing = _canonical(set(coll.members) - set(seen))[0]
-        return _fail(name, n, f"not surjective, missed {missing.to_json()}")
-    return _ok(name, n)
+        count += 1
+    spans = (span_arcs(seq, n) for seq in enumerate_noncrossing(n))
+    return _onto(name, n, count, COLLECTION, range(n + 1), spans)
 
 
 @_sorted_on_failure
@@ -147,22 +158,19 @@ def check_lagrangian(n: int, *, order) -> CheckResult:
     whose dimension is n/2 - dim E.  From those clauses, L = E + E^!.
     """
     name = "lagrangian-correspondence"
-    coll = build_collection(n)
-    table = build_families(n)
-    images = set()
-    for E in order(coll.members):
+    count = 0
+    for E in order(members(COLLECTION, n)):
         L = to_lagrangian(E)
-        if L not in table.f0_lagrangian:
+        try:
+            back = from_lagrangian(L)  # peels L at level 0 and checks its dimension
+        except ValueError:
             return _fail(name, n, f"{E.to_json()} maps outside the Lagrangian level")
         if not L.contains_subspace(E):
             return _fail(name, n, f"image of {E.to_json()} does not contain it")
-        if from_lagrangian(L) != E:
+        if back != E:
             return _fail(name, n, f"round trip broken at {E.to_json()}")
-        images.add(L)
-    if images != set(table.f0_lagrangian):
-        missing = _canonical(set(table.f0_lagrangian) - images)[0]
-        return _fail(name, n, f"not surjective, missed {missing.to_json()}")
-    return _ok(name, n)
+        count += 1
+    return _onto(name, n, count, F0, (n // 2,), map(to_lagrangian, members(COLLECTION, n)))
 
 
 def _all_arcs(n: int) -> list[Arc]:
@@ -263,15 +271,15 @@ def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None,
     subspaces, so exactness is asserted relative to the family union.
     """
     name = "oracle-families"
-    table = build_families(n)
+    f0 = set(members(F0, n))
     iso = set(oracle_mod.all_isotropic(n, budget=budget))
-    fam = table.f0 | table.f1
+    fam = f0 | set(members(F1, n))
     if not fam <= iso:
         missing = _canonical(fam - iso)[0]
         return _fail(name, n, f"family member not in brute-force list: {missing.to_json()}")
     for E in order(fam):
         kind, _ = classify_by_lines(E)
-        want = "f0" if E in table.f0 else "f1"
+        want = "f0" if E in f0 else "f1"
         if kind != want:
             return _fail(name, n, f"{E.to_json()} classifies as {kind}, expected {want}")
     return _ok(name, n)

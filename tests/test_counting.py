@@ -1,12 +1,14 @@
 """Catalan, Narayana, Gaussian binomials, and the count rows."""
 
 import json
+import math
 
 import pytest
 
 from catspan import counting
 from catspan.cli import main
-from catspan.counting import catalan, gaussian_binomial, narayana, verify_counts
+from catspan.counting import catalan, gaussian_binomial, grades, narayana, verify_counts
+from catspan.slots import COLLECTION, F0, F1
 
 
 def test_catalan_values():
@@ -85,3 +87,18 @@ def test_verify_counts_small_dimensions():
         verify_counts(3)
     with pytest.raises(ValueError):
         verify_counts(0)
+
+
+def test_grades_give_the_per_dimension_closed_forms():
+    # grade k of level 0 is C(D+1, k) - C(D+1, k-1) up to D/2, and level 1
+    # is level 0 shifted up by one dimension below the Lagrangian grade
+    for D in range(2, 15, 2):
+        f0, f1 = grades(F0, D), grades(F1, D)
+        assert len(f0) == len(f1) == D + 1
+        for k in range(D + 1):
+            want = math.comb(D + 1, k) - (math.comb(D + 1, k - 1) if k else 0)
+            assert f0[k] == (want if k <= D // 2 else 0), (D, k)
+            assert f1[k] == (f0[k - 1] if 1 <= k <= D // 2 else 0), (D, k)
+        assert list(grades(COLLECTION, D)[: D // 2 + 1]) == [
+            narayana(D // 2 + 1, s + 1) for s in range(D // 2 + 1)
+        ]

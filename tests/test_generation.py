@@ -11,10 +11,13 @@ and the Catalan numbers far past any size the tables reach.
 import math
 from collections import Counter
 
+from catspan import cli, conjecture, counting, families, noncrossing, verify
+from catspan.conjecture import SuppliedFamily
 from catspan.counting import catalan
 from catspan.families import FamilyTable, build_families
-from catspan.gf2 import Subspace
+from catspan.gf2 import Subspace, subspace_key
 from catspan.noncrossing import build_collection
+from catspan.oracle import all_subspaces
 from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, peel
 
 
@@ -109,8 +112,18 @@ def test_v0_comes_from_the_walk():
     assert build_collection(0).members == {zero}
 
 
-def test_the_builders_keep_no_lower_level():
-    for build in (build_families, build_collection):
-        build.cache_clear()
-        build(12)
-        assert build.cache_info().currsize == 1, build.__name__
+def test_the_commands_build_no_table(monkeypatch, capsys, tmp_path):
+    # every command walks slots.members; the table builders are library API only
+    def no_table(n):
+        raise AssertionError(f"a whole table was built at D={n}")
+
+    for module in (families, noncrossing, cli, conjecture, counting, verify):
+        for name in ("build_families", "build_collection"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_table)
+    assert cli.main(["verify", "--D-max", "8", "--oracle"]) == 0
+    assert cli.main(["export", "--D", "8", "--out", str(tmp_path)]) == 0
+    assert cli.main(["enumerate", "--kind", "lagrangian", "--D", "8"]) == 0
+    plain = SuppliedFamily(2, tuple(sorted(all_subspaces(2), key=subspace_key)))
+    assert conjecture.gl_match(plain).found
+    capsys.readouterr()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from _fixtures import members
+from catspan import noncrossing, oracle, slots
 from catspan.gf2 import (
     Subspace,
     form_masks,
@@ -205,3 +206,21 @@ def test_symplectic_space_parts():
     assert form_masks(1 << 1, 1 << 2) == 1
     assert is_isotropic(odd)
     assert is_isotropic(even)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: next(slots.members(slots.F0, n)),
+        lambda n: slots.peel(Subspace(n, ()), slots.F0),
+        noncrossing.enumerate_noncrossing,
+        lambda n: noncrossing.span_arcs(noncrossing.ArcSequence(), n),
+        oracle.noncrossing_direct,
+    ],
+    ids=["members", "peel", "enumerate_noncrossing", "span_arcs", "noncrossing_direct"],
+)
+def test_an_odd_or_negative_dimension_is_refused_in_one_text(call):
+    for n in (-2, 3):
+        with pytest.raises(ValueError) as err:
+            call(n)
+        assert str(err.value) == f"ambient dimension must be even and >= 0, got {n}"

@@ -3,12 +3,12 @@
 The acceptance gate runs these checks as the one implementation of each
 identity, so a check that could never fail would hide a broken map.  Each
 case patches one name that a check looks up in catspan.verify (or catalan in
-catspan.counting), never a cached builder, and runs the check at small D.
+catspan.counting), never a table builder, and runs the check at small D.
 """
 
 import pytest
 
-from catspan import cli, counting, noncrossing, verify
+from catspan import cli, counting, noncrossing, slots, verify
 from catspan.families import Line, build_families
 from catspan.gf2 import Subspace, span_masks, subspace_key
 from catspan.noncrossing import Arc, ArcSequence
@@ -101,6 +101,68 @@ def test_lagrangian_image_must_contain_its_source(monkeypatch):
     monkeypatch.setattr(verify, "from_lagrangian", lambda L: back[noncrossing.from_lagrangian(L)])
     res = verify.check_lagrangian(4)
     assert res.counterexample == "image of {'D': 4, 'basis': ['0010']} does not contain it"
+
+
+def _walk_without_first(rule):
+    """slots.members, but the canonically first member of rule's level is dropped."""
+
+    def walk(r, n):
+        out = list(slots.members(r, n))
+        if r is rule:
+            out.remove(min(out, key=subspace_key))
+        return iter(out)
+
+    return walk
+
+
+@pytest.mark.parametrize(
+    "check, name, fault, missed",
+    [
+        (verify.check_level_bijection, "members", _walk_without_first(slots.F1), "[]"),
+        (
+            verify.check_arc_bijection,
+            "enumerate_noncrossing",
+            lambda n: noncrossing.enumerate_noncrossing(n)[1:],
+            "[]",
+        ),
+        (
+            verify.check_lagrangian,
+            "members",
+            _walk_without_first(slots.COLLECTION),
+            "['0100', '0001']",
+        ),
+    ],
+    ids=["level", "arc", "lagrangian"],
+)
+def test_a_dropped_source_member_is_missed(monkeypatch, check, name, fault, missed):
+    # every image still passes, so only the walk counts show the gap
+    monkeypatch.setattr(verify, name, fault)
+    res = check(4)
+    assert res.counterexample == f"not surjective, missed {{'D': 4, 'basis': {missed}}}"
+
+
+def test_a_repeated_source_member_is_not_injective(monkeypatch):
+    # the left inverse holds member by member; the repeat shows in the counts
+    def walk(r, n):
+        out = list(slots.members(r, n))
+        return iter(out + out[:1] if r is slots.F1 else out)
+
+    monkeypatch.setattr(verify, "members", walk)
+    res = verify.check_level_bijection(4)
+    assert res.counterexample == "not injective: 6 members, 5 images"
+
+
+def test_a_member_of_both_levels_is_an_overlap(monkeypatch):
+    # the f1 walk also yields the third and then the second level-0 member
+    # in canonical order: the report names the canonically first of the two
+    def walk(r, n):
+        out = list(slots.members(r, n))
+        extra = sorted(slots.members(slots.F0, n), key=subspace_key)[2:0:-1]
+        return iter(out + extra if r is slots.F1 else out)
+
+    monkeypatch.setattr(verify, "members", walk)
+    res = verify.check_families_isotropic(4)
+    assert res.counterexample == "levels overlap at {'D': 4, 'basis': ['0001']}"
 
 
 def test_planted_fault_fails_the_counts(monkeypatch):
