@@ -121,11 +121,16 @@ def seq_key(seq: ArcSequence) -> tuple:
     return (len(seq), tuple((x.a, x.b) for x in seq))
 
 
+def odd_arcs(n: int) -> list[Arc]:
+    """Every arc over odd indices in [1, n-1], sorted."""
+    return [Arc(a, b) for a in range(1, n, 2) for b in range(a, n, 2)]
+
+
 @lru_cache(maxsize=None)
 def enumerate_noncrossing(n: int) -> tuple[ArcSequence, ...]:
     """All noncrossing arc sets over odd indices in [1, n-1], canonically sorted."""
     check_even(n)
-    arcs = [Arc(a, b) for a in range(1, n, 2) for b in range(a, n, 2)]
+    arcs = odd_arcs(n)
     out: list[ArcSequence] = []
     chosen: list[Arc] = []
 
@@ -230,7 +235,7 @@ def arcs_of(E: Subspace) -> ArcSequence:
     slots = peel(E, COLLECTION)
     if slots is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
-    return replay(slots, ArcSequence(), E.n - 2 * len(slots), extend_seq)
+    return replay(slots, ArcSequence(), 0, extend_seq)
 
 
 def to_lagrangian(E: Subspace) -> Subspace:
@@ -238,14 +243,13 @@ def to_lagrangian(E: Subspace) -> Subspace:
     the annihilator of E in the even-index part: E's slots replayed at level 0.
 
     An odd slot adjoins e_i on both levels.  An even slot adjoins e_i only at
-    level 0, and that e_i is the annihilator's new even unit.  The collection
-    peel stops at the zero of V_m, whose annihilator <e_2, ..., e_m> is m/2
-    steps of slot 2 at level 0 (the zero counts as first slot 2, see slots).
+    level 0, and that e_i is the annihilator's new even unit.  Both peels end
+    at the zero of V_0, so the image's level-0 peel is E's slots (see slots).
     """
     slots = peel(E, COLLECTION)
     if slots is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
-    return F0.build(slots + [2] * (E.n // 2 - len(slots)), E.n)
+    return F0.build(slots, E.n)
 
 
 def from_lagrangian(E: Subspace) -> Subspace:

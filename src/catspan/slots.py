@@ -10,9 +10,10 @@ Slot i fits E when E = embed_i(P) + <e_i> for some P: every vector of E has
 x_{i-1} = x_{i+1} (coordinates outside V_n read 0), and e_i is in E unless
 slot i adjoins nothing.  Deleting coordinates i and i+1 then gives P back.
 first_slot(E) is the least slot that fits, the one the peel takes, and the
-P it leaves is E's canonical parent.  members() makes each member once,
-from its canonical parent: the children of P in V_n are step(i, P) for i in
-1..min(n, first_slot(P) + 1), and for every slot i when P is the base.
+P it leaves is E's canonical parent.  A root is a base that no slot fits.
+members() makes each member once, from its canonical parent: the children
+of P in V_n are step(i, P) for i in 1..first_slot(P) + 1, and for every
+slot i when P is a root.
 
 Why that emits each member exactly once.  Let C = step(i, P) at level 0 or
 1, where every slot adjoins.  Slot i fits C: its rows are e_i and, for each
@@ -21,24 +22,26 @@ leaves coordinate i zero.
 Slot i-1 does not fit, since e_i is in C and has x_{i-2} = 0 != x_i = 1.  A
 slot j <= i-2 reads coordinates j-1..j+1 below i, where embed_i changes
 nothing and e_i is zero, so j fits C exactly when it fits P: the slots
-commute.  So when i <= first_slot(P) + 1, or P is the base (no slot fits
-it), first_slot(C) = i and C's canonical parent is P.  The pair (i, P) is
-read off C, and no member comes out twice.  The number of children depends
-only on first_slot(P), and the count over first slots gives C(D+1, D/2)
-members at level 0 and C(D+1, (D-2)/2) at level 1, the paper's closed forms
-(the tests run it for every even D <= 200).  Distinct members that many are
-the whole level, so every member is a child of its canonical parent.  That
-is the missing step of the peel's greedy completeness: taking the first
-slot that fits never leaves the level, and the peel of a member ends at the
-base.
+commute.  So when i <= first_slot(P) + 1, or P is a root, first_slot(C) = i
+and C's canonical parent is P.  The pair (i, P) is read off C, and no
+member comes out twice.  Every base of V_m is a root: no slot fits the
+zero, and F1's row e_1 + ... + e_m (m >= 2) is no unit.  The number of
+children depends only on first_slot(P), and the count over first slots
+gives C(D+1, D/2) members at level 0 and C(D+1, (D-2)/2) at level 1, the
+paper's closed forms (the tests run it for every even D <= 200).  Distinct
+members that many are the whole level, so every member is a child of its
+canonical parent.  That is the missing step of the peel's greedy
+completeness: taking the first slot that fits never leaves the level, and
+the peel of a member ends at a root.
 
 The collection follows the same argument.  An odd step adjoins e_i, so
 slot i-1 cannot fit.  An even step embeds with fan 0b101, so every row has
 x_i = 0 and x_{i-1} = x_{i+1}: e_{i-1} is never a row, and slot i-1 cannot
-fit either.  Slots j <= i-2 commute.  Slot 2 fits the zero of V_m (m >= 2),
-so the zero counts as first slot 2, and its even slots, which give the zero
-again, are skipped.  The count over first slots then gives Cat_{D/2+1}
+fit either.  Slots j <= i-2 commute.  Slot 2 adjoins nothing and fits the
+zero of V_m (m >= 2), the slot-2 child of the zero below, so the one root
+is the zero of V_0.  The count over first slots then gives Cat_{D/2+1}
 (tested for every even D <= 200), the whole collection by the arc bijection.
+A member's peel is D/2 slots, the level-0 peel of its Lagrangian image.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class Rule(NamedTuple):
     odd_only: bool
 
     def base(self, n: int) -> Subspace:
-        """The member every slot run of this level starts from in V_n."""
+        """The base of the level in V_n, a root where no slot fits it."""
         if self.full_base and not n:
             raise ValueError("level 1 has no member in V_0")
         return Subspace(n, ((1 << n) - 1,) if self.full_base else ())
@@ -115,20 +118,19 @@ def layer(step: Callable[[int, T, int], T], n: int, below: Iterable[T], base: T)
 
 def members(rule: Rule, n: int) -> Iterator[Subspace]:
     """Every member of the level in V_n, each once: a depth-first walk over
-    canonical parents from the base of each V_m (see the module docstring)."""
+    canonical parents from the roots (see the module docstring)."""
     check_even(n)
-    stack = [(rule.base(m), m) for m in range(2 * rule.full_base, n + 1, 2)]
+    bases = (rule.base(m) for m in range(2 * rule.full_base, n + 1, 2))
+    stack = [(B, B.n) for B in bases if first_slot(B, rule) is None]
     while stack:
         P, m = stack.pop()
         if m == n:
             yield P
             continue
-        # slot 2 fits the zero of V_m, m >= 2; an even slot on it gives the zero, a base
-        zero = rule.odd_only and not P.rows
-        f = 2 if zero and m else first_slot(P, rule)
-        top = m + 2 if f is None else min(m + 2, f + 1)
+        f = first_slot(P, rule)
+        top = m + 2 if f is None else f + 1
         m += 2
-        stack.extend((rule.step(i, P, m), m) for i in range(1, top + 1, 1 + zero))
+        stack.extend((rule.step(i, P, m), m) for i in range(1, top + 1))
 
 
 def replay(slots: list[int], x: T, n: int, step: Callable[[int, T, int], T]) -> T:
@@ -143,13 +145,10 @@ def first_slot(E: Subspace, rule: Rule) -> int | None:
     """The first slot i with E = embed_i(P) + <e_i>, the one the peel takes:
     every row has x_{i-1} = x_{i+1}, and e_i is in E unless slot i adjoins
     nothing.  In canonical RREF, e_i is in E exactly when it is a row.  None
-    when E has the dimension of the base, or when no slot fits."""
-    rows = E.rows
-    if len(rows) <= rule.full_base:
-        return None
+    when no slot fits, as at a root."""
     # bit i-1 of ragged is set when some row has x_{i-1} != x_{i+1}
     ragged = units = 0
-    for r in rows:
+    for r in E.rows:
         ragged |= (r << 1) ^ (r >> 1)
         if not r & (r - 1):
             units |= r
@@ -167,8 +166,7 @@ def peel(E: Subspace, rule: Rule) -> list[int] | None:
     RREF: first_slot requires e_i as a row, so no other row has x_i; no row
     has its pivot at e_{i+1}, since the ragged test gives it x_{i-1} too;
     and under odd support no row has an even x_i at all.  The peel runs
-    down to the dimension of the base and returns None unless it ends at
-    the base.
+    until no slot fits and returns None unless it ends at a root.
     """
     n = E.n
     check_even(n)

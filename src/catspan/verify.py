@@ -29,6 +29,7 @@ from .noncrossing import (
     extend_seq,
     from_lagrangian,
     is_noncrossing,
+    odd_arcs,
     seq_key,
     shift_arc,
     span_arcs,
@@ -173,15 +174,11 @@ def check_lagrangian(n: int, *, order) -> CheckResult:
     return _onto(name, n, count, F0, (n // 2,), map(to_lagrangian, members(COLLECTION, n)))
 
 
-def _all_arcs(n: int) -> list[Arc]:
-    return [Arc(a, b) for a in range(1, n, 2) for b in range(a, n, 2)]
-
-
 def check_shift_lemmas(n: int) -> CheckResult:
     """Slot shifts: injective on arcs, preserve noncrossing pairs, and for odd
     slots the adjoined unit arc stays compatible."""
     name = "shift-lemmas"
-    small = _all_arcs(n - 2)
+    small = odd_arcs(n - 2)
     for i in range(1, n + 1):
         images = {}
         for x in small:

@@ -5,7 +5,10 @@ to first_slot(P) + 1.  Here the builders' tables must equal the plain layer
 builder, which tries every slot on every member below and keeps the
 distinct ones; the walk must repeat no member; first_slot must be the slot
 the peel takes; and the count over first slots must give the closed forms
-and the Catalan numbers far past any size the tables reach.
+and the Catalan numbers far past any size the tables reach.  The walk starts
+from the roots, the bases that no slot fits; the collection's one root is
+the zero of V_0, which makes its tree the Lagrangian tree.  No output may
+depend on the order of the walk.
 """
 
 import math
@@ -16,44 +19,28 @@ from catspan.conjecture import SuppliedFamily
 from catspan.counting import catalan
 from catspan.families import FamilyTable, build_families
 from catspan.gf2 import Subspace, subspace_key
-from catspan.noncrossing import build_collection
+from catspan.noncrossing import build_collection, to_lagrangian
 from catspan.oracle import all_subspaces
 from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, peel
 
 
-def first_slot_counts(start, D_max):
-    """Members per first slot (None for the base) at each D from start to
-    D_max, counted by the children rule alone: the base's children take
-    slots 1..D, and a child of a parent with first slot f takes 1..min(D, f + 1).
-    A child's first slot is its own slot i, so slot i at D counts the base
-    and every parent with f >= i - 1 (f <= D - 2, so f + 1 is never cut)."""
+def first_slot_counts(start, D_max, every_base=True):
+    """Members per first slot (None for a root) at each D from start to
+    D_max, counted by the children rule alone: a root's children take slots
+    1..D, and a child of a parent with first slot f takes 1..min(D, f + 1).
+    A child's first slot is its own slot i, so slot i at D counts the roots
+    of V_{D-2} and every parent with f >= i - 1 (f <= D - 2, so f + 1 is
+    never cut).  A root is a base that no slot fits: the base of every V_D at
+    levels 0 and 1 (every_base), only the zero of V_0 in the collection."""
     counts = {None: 1}
     yield start, counts
     for D in range(start + 2, D_max + 1, 2):
-        nxt = {None: 1}
-        reach = counts[None]
+        nxt = {None: 1} if every_base else {}
+        reach = counts.get(None, 0)
         for i in range(D, 0, -1):
             reach += counts.get(i - 1, 0)
-            nxt[i] = reach
-        counts = nxt
-        yield D, counts
-
-
-def collection_first_slot_counts(D_max):
-    """Collection members per first slot (None for the zero) at each D from
-    0 to D_max.  The zero of V_0 has one child, by slot 1.  The zero of a
-    larger V_m counts as first slot 2 with its even slots skipped, so its
-    children take slots 1 and 3.  Any other parent with first slot f takes
-    1..f + 1, as in first_slot_counts."""
-    counts = {None: 1}
-    yield 0, counts
-    for D in range(2, D_max + 1, 2):
-        nxt = {None: 1}
-        reach = 0
-        for i in range(D, 0, -1):
-            reach += counts.get(i - 1, 0)
-            if c := reach + (i == 1 or (i == 3 and D >= 4)):
-                nxt[i] = c
+            if reach:
+                nxt[i] = reach
         counts = nxt
         yield D, counts
 
@@ -91,7 +78,7 @@ def test_first_slot_counts_give_the_closed_forms():
         assert sum(counts.values()) == math.comb(D + 1, D // 2), D
     for D, counts in first_slot_counts(2, 200):
         assert sum(counts.values()) == math.comb(D + 1, (D - 2) // 2), D
-    for D, counts in collection_first_slot_counts(200):
+    for D, counts in first_slot_counts(0, 200, every_base=False):
         assert sum(counts.values()) == catalan(D // 2 + 1), D
 
 
@@ -102,7 +89,7 @@ def test_first_slot_counts_match_the_tables():
         table = build_families(D)
         assert Counter(first_slot(E, F0) for E in table.f0) == level0[D], D
         assert Counter(first_slot(E, F1) for E in table.f1) == level1[D], D
-    for D, counts in collection_first_slot_counts(12):
+    for D, counts in first_slot_counts(0, 12, every_base=False):
         assert Counter(first_slot(E, COLLECTION) for E in build_collection(D).members) == counts, D
 
 
@@ -127,3 +114,41 @@ def test_the_commands_build_no_table(monkeypatch, capsys, tmp_path):
     plain = SuppliedFamily(2, tuple(sorted(all_subspaces(2), key=subspace_key)))
     assert conjecture.gl_match(plain).found
     capsys.readouterr()
+
+
+def test_the_collection_tree_is_the_lagrangian_tree():
+    # one root, the zero of V_0; a member's peel is the level-0 peel of its image
+    for D in range(0, 15, 2):
+        zero = Subspace(D, ())
+        assert first_slot(zero, COLLECTION) == (2 if D else None), D
+        coll = list(members(COLLECTION, D))
+        assert [E for E in coll if first_slot(E, COLLECTION) is None] == ([zero] if D == 0 else [])
+        slots = [peel(E, COLLECTION) for E in coll]
+        for E, seq in zip(coll, slots):
+            assert len(seq) == D // 2 and seq == peel(to_lagrangian(E), F0), (D, E)
+        assert sorted(slots) == sorted(peel(E, F0) for E in members(F0, D) if 2 * E.dim == D), D
+
+
+def command_outputs(out, capsys):
+    """What verify, export, enumerate and the matcher print or write at D = 8."""
+    counting.grades.cache_clear()  # the counts must come from the walk as patched
+    assert cli.main(["verify", "--D-max", "8", "--oracle"]) == 0
+    seen = {"verify": capsys.readouterr().out}
+    assert cli.main(["export", "--D", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    seen.update((path.name, path.read_bytes()) for path in out.iterdir())
+    for kind in cli.SUBSPACE_KINDS + ("arcs",):
+        for fmt in ("json", "csv", "text"):
+            assert cli.main(["enumerate", "--kind", kind, "--D", "8", "--format", fmt]) == 0
+            seen[kind, fmt] = capsys.readouterr().out
+    plain = SuppliedFamily(2, tuple(sorted(all_subspaces(2), key=subspace_key)))
+    seen["match"] = conjecture.gl_match(plain)
+    return seen
+
+
+def test_no_output_depends_on_the_walk_order(monkeypatch, capsys, tmp_path):
+    walked = command_outputs(tmp_path / "walk", capsys)
+    for module in (verify, counting, cli, conjecture, families, noncrossing):
+        monkeypatch.setattr(module, "members", lambda rule, n: reversed(list(members(rule, n))))
+    assert command_outputs(tmp_path / "reversed", capsys) == walked
+    counting.grades.cache_clear()
