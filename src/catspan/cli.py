@@ -140,14 +140,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import BUDGET_VARS, OracleBudget
-    from .verify import ORACLE_CAPS, run_checks
+    from .verify import ORACLE_CHECKS, run_checks
     budget = OracleBudget.from_env()
     counts, results, skipped = run_checks(args.d_min, args.d_max, args.oracle, budget)
-    for name, field in ORACLE_CAPS.items():
-        dims = ", ".join(str(D) for D, skip in skipped if skip == name)
+    for check in ORACLE_CHECKS:
+        dims = ", ".join(str(D) for D, skip in skipped if skip == check.__name__)
         if dims:
-            cap = f"{BUDGET_VARS[field]}={getattr(budget, field)}"
-            print(f"skipped {name} at D={dims}: above {cap}", file=sys.stderr)
+            cap = f"{BUDGET_VARS[check.cap]}={getattr(budget, check.cap)}"
+            print(f"skipped {check.__name__} at D={dims}: above {cap}", file=sys.stderr)
     first_failure: str | None = None
     for row in counts:
         word = "PASS" if row.passed else "FAIL"

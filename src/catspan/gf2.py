@@ -126,7 +126,7 @@ def subspace_key(E: Subspace) -> tuple:
 
 def span_masks(masks: Iterable[int], n: int) -> Subspace:
     rows = _rref(masks)
-    if rows and rows[-1] >= (1 << n):
+    if max(rows, default=0) >> n:
         raise ValueError(f"vector does not fit in V_{n}")
     return Subspace(n, rows)
 

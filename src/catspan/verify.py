@@ -1,13 +1,13 @@
 """Runtime verification suite behind the CLI verify command.
 
-Each check walks one identity exhaustively at the given ambient dimension
-and reports the first counterexample in full when something breaks.  The
-levels come from slots.members, and a map's image is a member when the
-inverse map's own peel accepts it.  These
-checks are the one implementation of each identity: the installed tool runs
-them on demand, and the acceptance gate runs them at scale.  The unit tests
-keep their own independent loops at small D, and tests/test_verify.py plants
-a fault under each check to show that it can fail.
+Each check walks one identity exhaustively at the given ambient dimension.
+A check's body returns its first counterexample in full as text, or None
+when the identity holds; _check names it, keeps its oracle cap as check.cap
+and makes the public check, which returns a CheckResult.  Levels come from
+slots.members; a map's image is a member when the inverse map's peel accepts
+it.  These checks are the one implementation of each identity, run on demand
+and by the acceptance gate at scale; tests/test_verify.py plants a fault
+under each to show that it can fail, and the unit tests keep their own loops.
 """
 
 from __future__ import annotations
@@ -49,19 +49,28 @@ class CheckResult:
     counterexample: str | None = None
 
 
-def _fail(name: str, D: int, detail: str) -> CheckResult:
-    return CheckResult(name, D, False, detail)
-
-
-def _ok(name: str, D: int) -> CheckResult:
-    return CheckResult(name, D, True)
-
-
 def _canonical(items) -> list:
     return sorted(items, key=subspace_key)
 
 
-def _sorted_on_failure(check):
+def _check(name: str, cap: str | None = None):
+    """Turn a body, from D to its first counterexample text or None, into the
+    public check name, which returns a CheckResult.  cap, the OracleBudget field
+    that caps an oracle check's D, stays as check.cap; functools.wraps copies it."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check(n: int, *args) -> CheckResult:
+            text = body(n, *args)
+            return CheckResult(name, n, text is None, text)
+
+        check.cap = cap
+        return check
+
+    return wrap
+
+
+def _sorted_on_failure(body):
     """Walk each level as slots.members yields it, and only after a failure
     walk it again in canonical order, to report the first counterexample.
 
@@ -69,88 +78,88 @@ def _sorted_on_failure(check):
     walk fails exactly when the second does.
     """
 
-    @functools.wraps(check)
+    @functools.wraps(body)
     def run(*args):
-        res = check(*args, order=lambda walk: walk)
-        return res if res.ok else check(*args, order=_canonical)
+        text = body(*args, order=lambda walk: walk)
+        return text and body(*args, order=_canonical)
 
     return run
 
 
-def _onto(name: str, n: int, count: int, rule, dims, images) -> CheckResult:
+def _onto(n: int, count: int, rule, dims, images) -> str | None:
     """Onto the members of rule's level with dimension in dims: each of the
     count source members maps into them with a left inverse, so it is onto
     exactly when their walk counts as many.  Only on a mismatch is images, a
     lazy walk, kept as a set, to name the canonically first member missed."""
     if count == sum(grades(rule, n)[k] for k in dims):
-        return _ok(name, n)
+        return None
     hit = set(images)
     missed = _canonical(E for E in members(rule, n) if E.dim in dims and E not in hit)
     if not missed:  # every target member is hit, so the source walk repeats one
-        return _fail(name, n, f"not injective: {count} members, {len(hit)} images")
-    return _fail(name, n, f"not surjective, missed {missed[0].to_json()}")
+        return f"not injective: {count} members, {len(hit)} images"
+    return f"not surjective, missed {missed[0].to_json()}"
 
 
+@_check("families-isotropic")
 @_sorted_on_failure
-def check_families_isotropic(n: int, *, order) -> CheckResult:
-    name = "families-isotropic"
+def check_families_isotropic(n: int, *, order) -> str | None:
     f1 = set(members(F1, n))
     hits = 0  # each f1 member is in f1, and so is each f0 member in both levels
     for E in order(chain(members(F0, n), f1)):
         if not is_isotropic(E):
-            return _fail(name, n, f"non-isotropic member {E.to_json()}")
+            return f"non-isotropic member {E.to_json()}"
         hits += E in f1
     if hits > len(f1):
         clash = _canonical(E for E in members(F0, n) if E in f1)[0]
-        return _fail(name, n, f"levels overlap at {clash.to_json()}")
-    return _ok(name, n)
+        return f"levels overlap at {clash.to_json()}"
 
 
+@_check("level-bijection")
 @_sorted_on_failure
-def check_level_bijection(n: int, *, order) -> CheckResult:
-    name = "level-bijection"
+def check_level_bijection(n: int, *, order) -> str | None:
     count = 0
     for E in order(members(F1, n)):
         kind, marked = classify_by_lines(E)
         if kind != "f1" or marked is None:
-            return _fail(name, n, f"level-1 member misclassified as {kind}: {E.to_json()}")
+            return f"level-1 member misclassified as {kind}: {E.to_json()}"
         # an odd start and an even end also make the marked line parity 0
         if marked.a % 2 == 0 or marked.b % 2:
-            return _fail(name, n, f"marked line ({marked.a}, {marked.b}) is not (odd, even)")
+            return f"marked line ({marked.a}, {marked.b}) is not (odd, even)"
         E0 = level_down(E)
         try:
             up = level_up(E0)  # peels E0 at level 0 and rejects a Lagrangian
         except ValueError:
-            return _fail(name, n, f"image {E0.to_json()} is not sub-Lagrangian level-0")
+            return f"image {E0.to_json()} is not sub-Lagrangian level-0"
         m = marked.mask()
         if m not in E or m in E0 or not E.contains_subspace(E0) or E0.dim + 1 != E.dim:
-            return _fail(name, n, f"{E.to_json()} != image + marked line")
+            return f"{E.to_json()} != image + marked line"
         if up != E:
-            return _fail(name, n, f"level_up(level_down(E)) != E at {E.to_json()}")
+            return f"level_up(level_down(E)) != E at {E.to_json()}"
         count += 1
-    return _onto(name, n, count, F0, range(n // 2), map(level_down, members(F1, n)))
+    return _onto(n, count, F0, range(n // 2), map(level_down, members(F1, n)))
 
 
-def check_arc_bijection(n: int) -> CheckResult:
-    name = "arc-bijection"
+@_check("arc-bijection")
+def check_arc_bijection(n: int) -> str | None:
     count = 0
     for seq in enumerate_noncrossing(n):
         E = span_arcs(seq, n)
         if E.dim != len(seq):
-            return _fail(name, n, f"grade broken: {seq.to_json()} spans dim {E.dim}")
+            return f"grade broken: {seq.to_json()} spans dim {E.dim}"
         try:
             back = arcs_of(E)  # peels E in the collection
         except ValueError:
-            return _fail(name, n, f"{seq.to_json()} spans a non-member {E.to_json()}")
+            return f"{seq.to_json()} spans a non-member {E.to_json()}"
         if back != seq:
-            return _fail(name, n, f"arcs_of inverts wrongly at {seq.to_json()}")
+            return f"arcs_of inverts wrongly at {seq.to_json()}"
         count += 1
     spans = (span_arcs(seq, n) for seq in enumerate_noncrossing(n))
-    return _onto(name, n, count, COLLECTION, range(n + 1), spans)
+    return _onto(n, count, COLLECTION, range(n + 1), spans)
 
 
+@_check("lagrangian-correspondence")
 @_sorted_on_failure
-def check_lagrangian(n: int, *, order) -> CheckResult:
+def check_lagrangian(n: int, *, order) -> str | None:
     """to_lagrangian(E) is E + E^!, E^! the annihilator of E in the even part.
 
     L lies in the Lagrangian level, so it is isotropic of dimension n/2.  It
@@ -158,128 +167,114 @@ def check_lagrangian(n: int, *, order) -> CheckResult:
     n/2 - dim E dimensions, which pair to zero with E: that is all of E^!,
     whose dimension is n/2 - dim E.  From those clauses, L = E + E^!.
     """
-    name = "lagrangian-correspondence"
     count = 0
     for E in order(members(COLLECTION, n)):
         L = to_lagrangian(E)
         try:
             back = from_lagrangian(L)  # peels L at level 0 and checks its dimension
         except ValueError:
-            return _fail(name, n, f"{E.to_json()} maps outside the Lagrangian level")
+            return f"{E.to_json()} maps outside the Lagrangian level"
         if not L.contains_subspace(E):
-            return _fail(name, n, f"image of {E.to_json()} does not contain it")
+            return f"image of {E.to_json()} does not contain it"
         if back != E:
-            return _fail(name, n, f"round trip broken at {E.to_json()}")
+            return f"round trip broken at {E.to_json()}"
         count += 1
-    return _onto(name, n, count, F0, (n // 2,), map(to_lagrangian, members(COLLECTION, n)))
+    return _onto(n, count, F0, (n // 2,), map(to_lagrangian, members(COLLECTION, n)))
 
 
-def check_shift_lemmas(n: int) -> CheckResult:
+@_check("shift-lemmas")
+def check_shift_lemmas(n: int) -> str | None:
     """Slot shifts: injective on arcs, preserve noncrossing pairs, and for odd
     slots the adjoined unit arc stays compatible."""
-    name = "shift-lemmas"
     small = odd_arcs(n - 2)
     for i in range(1, n + 1):
         images = {}
         for x in small:
             y = shift_arc(i, x, n)
             if y in images:
-                return _fail(name, n, f"slot {i} merges {images[y]} and {(x.a, x.b)}")
+                return f"slot {i} merges {images[y]} and {(x.a, x.b)}"
             images[y] = (x.a, x.b)
             if i % 2 and not is_noncrossing([y, Arc(i, i)]):
-                return _fail(name, n, f"slot {i} image {(y.a, y.b)} crosses the unit arc")
+                return f"slot {i} image {(y.a, y.b)} crosses the unit arc"
         for x1 in small:
             for x2 in small:
                 if x1 < x2 and is_noncrossing([x1, x2]):
                     if not is_noncrossing([shift_arc(i, x1, n), shift_arc(i, x2, n)]):
-                        return _fail(
-                            name,
-                            n,
-                            f"slot {i} breaks pair {(x1.a, x1.b)}, {(x2.a, x2.b)}",
-                        )
-    return _ok(name, n)
+                        return f"slot {i} breaks pair {(x1.a, x1.b)}, {(x2.a, x2.b)}"
 
 
-def check_embedding_compat(n: int) -> CheckResult:
+@_check("embedding-compat")
+def check_embedding_compat(n: int) -> str | None:
     """Spanning after a slot extension equals embedding the smaller span."""
-    name = "embedding-compat"
     for seq in enumerate_noncrossing(n - 2):
         inner = span_arcs(seq, n - 2)
         for i in range(1, n + 1):
             direct = COLLECTION.step(i, inner, n)
             via_arcs = span_arcs(extend_seq(i, seq, n), n)
             if direct != via_arcs:
-                return _fail(
-                    name, n, f"slot {i} on {seq.to_json()}: {direct.to_json()} != {via_arcs.to_json()}"
-                )
-    return _ok(name, n)
+                return f"slot {i} on {seq.to_json()}: {direct.to_json()} != {via_arcs.to_json()}"
 
 
-def check_roundtrip(n: int) -> CheckResult:
-    name = "decompose-roundtrip"
+@_check("decompose-roundtrip")
+def check_roundtrip(n: int) -> str | None:
     for seq in enumerate_noncrossing(n):
         if not len(seq):
             continue
         i, smaller = decompose(seq, n)
         back = extend_seq(i, smaller, n)
         if back != seq:
-            return _fail(name, n, f"{seq.to_json()} -> ({i}, {smaller.to_json()}) -> {back.to_json()}")
-    return _ok(name, n)
+            return f"{seq.to_json()} -> ({i}, {smaller.to_json()}) -> {back.to_json()}"
 
 
-def check_inductive_closure(n: int) -> CheckResult:
+@_check("inductive-closure")
+def check_inductive_closure(n: int) -> str | None:
     """The extend-generated family equals the directly enumerated one."""
-    name = "inductive-closure"
     generated = {ArcSequence()}
     for m in range(2, n + 1, 2):
         generated = layer(extend_seq, m, generated, ArcSequence())
     direct = set(enumerate_noncrossing(n))
     if generated != direct:
         diff = sorted(generated ^ direct, key=seq_key)[0]
-        return _fail(name, n, f"sets differ at {diff.to_json()}")
-    return _ok(name, n)
+        return f"sets differ at {diff.to_json()}"
 
 
-def check_oracle_noncrossing(n: int, budget: oracle_mod.OracleBudget | None = None) -> CheckResult:
-    name = "oracle-noncrossing"
+@_check("oracle-noncrossing", "max_odd_dim")
+def check_oracle_noncrossing(n: int, budget: oracle_mod.OracleBudget | None = None) -> str | None:
     direct = oracle_mod.noncrossing_direct(n, budget)
     fast = list(enumerate_noncrossing(n))
     if direct != fast:
-        return _fail(name, n, f"{len(direct)} filtered vs {len(fast)} enumerated")
-    return _ok(name, n)
+        return f"{len(direct)} filtered vs {len(fast)} enumerated"
 
 
-def check_oracle_subspace_counts(n: int, budget: oracle_mod.OracleBudget | None = None) -> CheckResult:
-    name = "oracle-subspace-counts"
+@_check("oracle-subspace-counts", "max_dim")
+def check_oracle_subspace_counts(n: int, budget: oracle_mod.OracleBudget | None = None) -> str | None:
     by_dim = Counter(len(rows) for rows in oracle_mod.cells(n, budget))
     for k in range(n + 1):
         want = gaussian_binomial(n, k)
         if by_dim[k] != want:
-            return _fail(name, n, f"dim {k}: {by_dim[k]} cells vs gaussian binomial {want}")
-    return _ok(name, n)
+            return f"dim {k}: {by_dim[k]} cells vs gaussian binomial {want}"
 
 
+@_check("oracle-families", "max_dim")
 @_sorted_on_failure
-def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None, *, order) -> CheckResult:
+def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None, *, order) -> str | None:
     """Brute-force isotropic subspaces against the family tables.
 
     Family members must all appear isotropic and classify to their own level;
     the line test does not detect membership among arbitrary isotropic
     subspaces, so exactness is asserted relative to the family union.
     """
-    name = "oracle-families"
     f0 = set(members(F0, n))
     iso = set(oracle_mod.all_isotropic(n, budget=budget))
     fam = f0 | set(members(F1, n))
     if not fam <= iso:
         missing = _canonical(fam - iso)[0]
-        return _fail(name, n, f"family member not in brute-force list: {missing.to_json()}")
+        return f"family member not in brute-force list: {missing.to_json()}"
     for E in order(fam):
         kind, _ = classify_by_lines(E)
         want = "f0" if E in f0 else "f1"
         if kind != want:
-            return _fail(name, n, f"{E.to_json()} classifies as {kind}, expected {want}")
-    return _ok(name, n)
+            return f"{E.to_json()} classifies as {kind}, expected {want}"
 
 
 BASE_CHECKS = [
@@ -298,14 +293,6 @@ ORACLE_CHECKS = [
     check_oracle_subspace_counts,
     check_oracle_families,
 ]
-
-# the OracleBudget field that caps the ambient dimension of each oracle check;
-# keyed by name, which survives wrapping the checks (functools.wraps)
-ORACLE_CAPS = {
-    "check_oracle_noncrossing": "max_odd_dim",
-    "check_oracle_subspace_counts": "max_dim",
-    "check_oracle_families": "max_dim",
-}
 
 
 def run_checks(
@@ -328,7 +315,7 @@ def run_checks(
             results.append(check(n))
         if oracle:
             for check in ORACLE_CHECKS:
-                if n <= getattr(budget, ORACLE_CAPS[check.__name__]):
+                if n <= getattr(budget, check.cap):
                     results.append(check(n, budget))
                 else:
                     skipped.append((n, check.__name__))

@@ -133,6 +133,17 @@ def test_span_input_validation():
         span_masks([0b100], 2)
 
 
+@pytest.mark.parametrize(
+    "masks",
+    [[0b10001, 0b10], [0b10, 0b10101, 0b1000], [0b1, 0b100000]],
+    ids=["first", "middle", "last"],
+)
+def test_a_too_wide_row_in_any_position_is_refused(masks):
+    # the rows sort by lowest set bit, so the wide row need not be the last one
+    with pytest.raises(ValueError, match=r"^vector does not fit in V_4$"):
+        span_masks(masks, 4)
+
+
 def test_subspace_predicates():
     E = span_masks([0b0111, 0b0100], 4)
     assert string_to_mask("1100") in E

@@ -6,12 +6,15 @@ case patches one name that a check looks up in catspan.verify (or catalan in
 catspan.counting), never a table builder, and runs the check at small D.
 """
 
+import functools
+
 import pytest
 
 from catspan import cli, counting, noncrossing, slots, verify
 from catspan.families import Line, build_families
 from catspan.gf2 import Subspace, span_masks, subspace_key
 from catspan.noncrossing import Arc, ArcSequence
+from catspan.oracle import BUDGET_VARS, OracleBudget
 
 real_catalan = counting.catalan
 real_gaussian = counting.gaussian_binomial
@@ -43,6 +46,32 @@ def test_planted_fault_fails_the_check(monkeypatch, check, name, fault):
     res = check(4)
     assert not res.ok and res.D == 4
     assert res.counterexample
+
+
+def test_wrapped_checks_keep_their_caps(monkeypatch, capsys):
+    # a functools.wraps wrapper, as a tracer puts round each check, copies
+    # check.cap, which run_checks and the skip lines of verify read
+    def wrap(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs):
+            return check(*args, **kwargs)
+
+        return run
+
+    budget = OracleBudget(max_dim=2, max_odd_dim=4)
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_DIM", "2")
+    monkeypatch.setenv("CATSPAN_ORACLE_MAX_ODD_DIM", "4")
+    want = verify.run_checks(2, 6, True, budget)
+    assert want[2] and all(res.ok for res in want[1])
+    assert cli.main(["verify", "--D-max", "6", "--oracle"]) == 0
+    want_out = capsys.readouterr()
+    monkeypatch.setattr(verify, "BASE_CHECKS", [wrap(c) for c in verify.BASE_CHECKS])
+    monkeypatch.setattr(verify, "ORACLE_CHECKS", [wrap(c) for c in verify.ORACLE_CHECKS])
+    assert verify.run_checks(2, 6, True, budget) == want
+    assert cli.main(["verify", "--D-max", "6", "--oracle"]) == 0
+    assert capsys.readouterr() == want_out
+    assert all(c.cap is None for c in verify.BASE_CHECKS)
+    assert all(c.cap in BUDGET_VARS for c in verify.ORACLE_CHECKS)
 
 
 def test_passing_table_walks_sort_nothing(monkeypatch):
