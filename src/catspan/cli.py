@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -74,41 +73,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _members(kind: str, n: int) -> list[tuple]:
+def _members(kind: str, n: int, grade: int | None = None) -> Iterable[tuple]:
     """One level in canonical order, each member rendered once to its parts, whose
-    number is its grade: an arc set's (a, b) pairs or a subspace's basis strings."""
+    number is its grade: an arc set's (a, b) pairs or a subspace's basis strings.
+    f0, f1 and lagrangian come one grade, one walk start m, at a time: subspace_key
+    sorts by dimension first, so grades sorted alone and chained by ascending
+    dimension are the canonical order.  With a grade, only the start that holds it."""
     if kind == "arcs":
         return [pairs for _, pairs in map(seq_key, enumerate_noncrossing(n))]
-    walk = members({"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind], n)
-    if kind == "lagrangian":
-        walk = (E for E in walk if 2 * E.dim == n)
+    rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
+    starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
+    if kind != "collection":  # one walk: the collection's grade is not fixed by its start
+        starts = [m for m in starts if grade in (None, (n - m) // 2 + rule.full_base)]
     # canonical RREF makes each key unique, so sorting the keys sorts the members
-    return [rows for _, rows in sorted(map(subspace_key, walk))]
+    walks = (sorted(map(subspace_key, members(rule, n, m))) for m in starts)
+    return (rows for _, rows in chain.from_iterable(walks))
 
 
 def _csv_header(kind: str) -> list[str]:
     return ["D", "kind", "s", "arcs"] if kind == "arcs" else ["D", "kind", "dim", "basis"]
 
 
-def _csv_rows(kind: str, n: int, members: list[tuple]) -> Iterator[list]:
-    for parts in members:
-        cells = [f"{a}-{b}" for a, b in parts] if kind == "arcs" else parts
-        yield [n, kind, len(parts), "|".join(cells)]
+def _csv_row(kind: str, n: int, parts: tuple) -> list:
+    cells = [f"{a}-{b}" for a, b in parts] if kind == "arcs" else parts
+    return [n, kind, len(parts), "|".join(cells)]
 
 
-def _write_csv(fh, header: list[str], rows: Iterable[list]) -> None:
-    import csv
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _write_json(fh, n: int, kind: str, lists: dict[str, list[tuple]]) -> None:
+def _write_json(fh, n: int, kind: str, lists: dict[str, Iterable[tuple]]) -> None:
     """Write {"D": n, KEY: [member, ...], ...} in the bytes of json.dump(..., indent=2),
-    laying out one member at a time, never a whole table as one string."""
+    laying out one member at a time as each list yields it."""
     fh.write(f'{{\n  "D": {n}')
     for key, members in lists.items():
         fh.write(f',\n  "{key}": [')
+        i = -1
         for i, parts in enumerate(members):
             if kind == "arcs":
                 arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in parts)
@@ -117,18 +114,21 @@ def _write_json(fh, n: int, kind: str, lists: dict[str, list[tuple]]) -> None:
                 basis = '[\n        "' + '",\n        "'.join(parts) + '"\n      ]' if parts else "[]"
                 text = f'{{\n      "D": {n},\n      "basis": {basis}\n    }}'
             fh.write((",\n    " if i else "\n    ") + text)
-        fh.write("\n  ]" if members else "]")
+        fh.write("\n  ]" if i >= 0 else "]")
     fh.write("\n}")
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, kind = args.D, args.kind
-    members = [m for m in _members(kind, n) if args.grade is None or len(m) == args.grade]
+    # the arc sets and the collection are filtered; the other walks hold the grade alone
+    members = [m for m in _members(kind, n, args.grade) if args.grade is None or len(m) == args.grade]
     if args.format == "json":
         shown = members if kind == "arcs" else [{"D": n, "basis": rows} for rows in members]
         print(json.dumps({"D": n, "kind": kind, "members": shown}))
     elif args.format == "csv":
-        _write_csv(sys.stdout, _csv_header(kind), _csv_rows(kind, n, members))
+        import csv
+        rows = [_csv_header(kind)] + [_csv_row(kind, n, parts) for parts in members]
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     elif kind == "arcs":
         for pairs in members:
             print(f"s={len(pairs)} arcs={' '.join(f'({a},{b})' for a, b in pairs) or '-'}")
@@ -205,39 +205,54 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0 if result.found else 1
 
 
-def _export(out, stem: str, header: list[str], rows: Iterable[list], write_json) -> None:
-    """Write one table as OUT/STEM.csv, then OUT/STEM.json (write_json(fh) and a newline)."""
-    path = out / f"{stem}.csv"
-    with path.open("w", encoding="utf-8") as fh:
-        _write_csv(fh, header, rows)
-    print(f"wrote {path}")
-    path = out / f"{stem}.json"
-    with path.open("w", encoding="utf-8") as fh:
-        write_json(fh)
+def _export(out, stem: str, header: list[str], write) -> list:
+    """Write OUT/STEM.csv and OUT/STEM.json in one pass, and return both paths:
+    write(fh, row) lays out the JSON on fh and hands each CSV row to row."""
+    import csv
+    paths = [out / f"{stem}.csv", out / f"{stem}.json"]
+    with paths[0].open("w", encoding="utf-8") as csv_fh, paths[1].open("w", encoding="utf-8") as fh:
+        row = csv.writer(csv_fh, lineterminator="\n").writerow
+        row(header)
+        write(fh, row)
         fh.write("\n")
-    print(f"wrote {path}")
+    return paths
 
 
 def cmd_export(args: argparse.Namespace) -> int:
     from pathlib import Path
-    from .counting import verify_counts
+    from .counting import count_rows
     n = args.D
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # one table at a time, in file-name order
+    grades = {kind: [0] * (n + 1) for kind in ("f0", "f1", "collection", "arcs")}
+
+    def table(stem: str, keys: dict[str, str]) -> list:
+        # each JSON key's kind, one member at a time: tallied and written as a CSV row on the way
+        def rendered(kind: str, row) -> Iterator[tuple]:
+            for parts in _members(kind, n):
+                grades[kind][len(parts)] += 1
+                row(_csv_row(kind, n, parts))
+                yield parts
+
+        kind = next(iter(keys.values()))  # f0 and f1 share the header and the JSON template
+        return _export(out, stem, _csv_header(kind), lambda fh, row: _write_json(
+            fh, n, kind, {key: rendered(k, row) for key, k in keys.items()}))
+
     for kind in ("arcs", "collection"):
-        members = _members(kind, n)
-        dump = partial(_write_json, n=n, kind=kind, lists={"members": members})
-        _export(out, kind, _csv_header(kind), _csv_rows(kind, n, members), dump)
-    counts = verify_counts(n)
+        print(*(f"wrote {path}" for path in table(kind, {"members": kind})), sep="\n")
+    # the count rows tally the families as they are written, but counts.* is listed first
+    families = table("families", {"f0": "f0", "f1": "f1"})
+    counts = count_rows(n, grades["f0"], grades["f1"], grades["collection"], grades["arcs"])
     header = ["D", "label", "observed", "expected", "pass"]
-    records = [dict(zip(header, (r.D, r.label, r.observed, r.expected, r.passed))) for r in counts]
-    csv_rows = ([r.D, r.label, r.observed, r.expected, str(r.passed).lower()] for r in counts)
-    _export(out, "counts", header, csv_rows, partial(json.dump, {"D": n, "rows": records}, indent=2))
-    f0, f1 = _members("f0", n), _members("f1", n)
-    rows = chain(_csv_rows("f0", n, f0), _csv_rows("f1", n, f1))
-    dump = partial(_write_json, n=n, kind="f0", lists={"f0": f0, "f1": f1})
-    _export(out, "families", _csv_header("f0"), rows, dump)
+
+    def write_counts(fh, row) -> None:
+        for r in counts:
+            row([r.D, r.label, r.observed, r.expected, str(r.passed).lower()])
+        records = [dict(zip(header, (r.D, r.label, r.observed, r.expected, r.passed))) for r in counts]
+        json.dump({"D": n, "rows": records}, fh, indent=2)
+
+    for path in _export(out, "counts", header, write_counts) + families:
+        print(f"wrote {path}")
     return 0
 
 

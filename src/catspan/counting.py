@@ -21,6 +21,7 @@ __all__ = [
     "CountRow",
     "grades",
     "verify_counts",
+    "count_rows",
 ]
 
 
@@ -75,24 +76,28 @@ def grades(rule: Rule, D: int) -> tuple[int, ...]:
 
 
 def verify_counts(D: int) -> tuple[CountRow, ...]:
-    """Compare every level walked at ambient dimension D with its closed form.
+    """Compare every level walked at ambient dimension D with its closed form."""
+    if D < 2 or D % 2:
+        raise ValueError(f"ambient dimension must be even and >= 2, got {D}")
+    arcs = Counter(map(len, enumerate_noncrossing(D)))
+    arcs = [arcs[s] for s in range(D + 1)]
+    return count_rows(D, grades(F0, D), grades(F1, D), grades(COLLECTION, D), arcs)
+
+
+def count_rows(D: int, f0, f1, coll, arcs) -> tuple[CountRow, ...]:
+    """The count rows at D from each level's members per dimension 0..D, a sequence each.
 
     Level-0 family: C(D+1, D/2).  Level-1: C(D+1, (D-2)/2).  Lagrangian
     level-0 members, the odd-part collection, and the noncrossing arc sets
     all have Catalan cardinality Cat_{d+1}; the gradings are Narayana.
     """
-    if D < 2 or D % 2:
-        raise ValueError(f"ambient dimension must be even and >= 2, got {D}")
     d = D // 2
-    f0, coll = grades(F0, D), grades(COLLECTION, D)
-    arcs = Counter(map(len, enumerate_noncrossing(D)))
-
     rows = [
         CountRow(D, "f0", sum(f0), math.comb(D + 1, D // 2)),
-        CountRow(D, "f1", sum(grades(F1, D)), math.comb(D + 1, (D - 2) // 2)),
+        CountRow(D, "f1", sum(f1), math.comb(D + 1, (D - 2) // 2)),
         CountRow(D, "lagrangian", f0[d], catalan(d + 1)),
         CountRow(D, "collection", sum(coll), catalan(d + 1)),
-        CountRow(D, "arcs", arcs.total(), catalan(d + 1)),
+        CountRow(D, "arcs", sum(arcs), catalan(d + 1)),
     ]
     for s in range(d + 1):
         rows.append(CountRow(D, f"arcs[s={s}]", arcs[s], narayana(d + 1, s + 1)))

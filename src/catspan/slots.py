@@ -116,12 +116,14 @@ def layer(step: Callable[[int, T, int], T], n: int, below: Iterable[T], base: T)
     return out
 
 
-def members(rule: Rule, n: int) -> Iterator[Subspace]:
+def members(rule: Rule, n: int, start: int | None = None) -> Iterator[Subspace]:
     """Every member of the level in V_n, each once: a depth-first walk over
-    canonical parents from the roots (see the module docstring)."""
+    canonical parents from the roots (see the module docstring).  With a
+    start m, only the tree under the base of V_m if it is a root: at levels 0
+    and 1, where every slot adjoins e_i, the one grade (n - m)/2 + full_base."""
     check_even(n)
-    bases = (rule.base(m) for m in range(2 * rule.full_base, n + 1, 2))
-    stack = [(B, B.n) for B in bases if first_slot(B, rule) is None]
+    starts = (m for m in range(2 * rule.full_base, n + 1, 2) if start in (None, m))
+    stack = [(B, B.n) for B in map(rule.base, starts) if first_slot(B, rule) is None]
     while stack:
         P, m = stack.pop()
         if m == n:

@@ -13,6 +13,7 @@ depend on the order of the walk.
 
 import math
 from collections import Counter
+from itertools import chain
 
 from catspan import cli, conjecture, counting, families, noncrossing, verify
 from catspan.conjecture import SuppliedFamily
@@ -149,6 +150,45 @@ def command_outputs(out, capsys):
 def test_no_output_depends_on_the_walk_order(monkeypatch, capsys, tmp_path):
     walked = command_outputs(tmp_path / "walk", capsys)
     for module in (verify, counting, cli, conjecture, families, noncrossing):
-        monkeypatch.setattr(module, "members", lambda rule, n: reversed(list(members(rule, n))))
+        # forward the start, so that every walk is reversed, one start's too
+        monkeypatch.setattr(
+            module, "members", lambda rule, n, start=None: reversed(list(members(rule, n, start)))
+        )
     assert command_outputs(tmp_path / "reversed", capsys) == walked
     counting.grades.cache_clear()
+
+
+def test_one_start_is_one_grade():
+    # at levels 0 and 1 the tree under the base of V_m holds the one dimension
+    # (D - m)/2 + full_base; across starts the trees partition the whole walk
+    for D in range(2, 15, 2):
+        for rule in (F0, F1, COLLECTION):
+            walks = {m: list(members(rule, D, m)) for m in range(-2, D + 3)}
+            assert Counter(chain.from_iterable(walks.values())) == Counter(members(rule, D)), (D, rule)
+            if rule is COLLECTION:
+                assert not any(walk for m, walk in walks.items() if m), D  # one root, the zero of V_0
+                continue
+            for m, walk in walks.items():
+                root = m in range(2 * rule.full_base, D + 1, 2)
+                assert {E.dim for E in walk} == ({(D - m) // 2 + rule.full_base} if root else set()), (D, m)
+        for k in range(D // 2 + 1):
+            below = math.comb(D + 1, k - 1) if k else 0
+            assert sum(1 for _ in members(F0, D, D - 2 * k)) == math.comb(D + 1, k) - below, (D, k)
+
+
+def test_export_walks_each_level_once(monkeypatch, capsys, tmp_path):
+    # f0 and f1 one grade at a time, each walk from its start; the collection
+    # once; and no second walk for the counts
+    walks = []
+
+    def recorded(rule, n, *start):
+        walks.append((rule, *start) if start else (rule, None))
+        return members(rule, n, *start)
+
+    for module in (cli, counting):
+        monkeypatch.setattr(module, "members", recorded)
+    counting.grades.cache_clear()
+    assert cli.main(["export", "--D", "8", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    grades = [(F0, m) for m in range(0, 9, 2)] + [(F1, m) for m in range(2, 9, 2)]
+    assert Counter(walks) == Counter(grades + [(COLLECTION, None)])
