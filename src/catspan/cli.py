@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .families import level_down, level_up
 from .gf2 import Subspace, subspace_key
@@ -73,18 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _members(kind: str, n: int, grade: int | None = None) -> Iterable[tuple]:
+def _members(kind: str, n: int) -> Iterable[tuple]:
     """One level in canonical order, each member rendered once to its parts, whose
     number is its grade: an arc set's (a, b) pairs or a subspace's basis strings.
     f0, f1 and lagrangian come one grade, one walk start m, at a time: subspace_key
     sorts by dimension first, so grades sorted alone and chained by ascending
-    dimension are the canonical order.  With a grade, only the start that holds it."""
+    dimension are the canonical order."""
     if kind == "arcs":
         return [pairs for _, pairs in map(seq_key, enumerate_noncrossing(n))]
     rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
+    # one collection walk: its grade is not fixed by its start
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
-    if kind != "collection":  # one walk: the collection's grade is not fixed by its start
-        starts = [m for m in starts if grade in (None, (n - m) // 2 + rule.full_base)]
     # canonical RREF makes each key unique, so sorting the keys sorts the members
     walks = (sorted(map(subspace_key, members(rule, n, m))) for m in starts)
     return (rows for _, rows in chain.from_iterable(walks))
@@ -99,29 +98,18 @@ def _csv_row(kind: str, n: int, parts: tuple) -> list:
     return [n, kind, len(parts), "|".join(cells)]
 
 
-def _write_json(fh, n: int, kind: str, lists: dict[str, Iterable[tuple]]) -> None:
-    """Write {"D": n, KEY: [member, ...], ...} in the bytes of json.dump(..., indent=2),
-    laying out one member at a time as each list yields it."""
-    fh.write(f'{{\n  "D": {n}')
-    for key, members in lists.items():
-        fh.write(f',\n  "{key}": [')
-        i = -1
-        for i, parts in enumerate(members):
-            if kind == "arcs":
-                arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in parts)
-                text = f"[\n      {arcs}\n    ]" if parts else "[]"
-            else:
-                basis = '[\n        "' + '",\n        "'.join(parts) + '"\n      ]' if parts else "[]"
-                text = f'{{\n      "D": {n},\n      "basis": {basis}\n    }}'
-            fh.write((",\n    " if i else "\n    ") + text)
-        fh.write("\n  ]" if i >= 0 else "]")
-    fh.write("\n}")
+def _json_member(kind: str, n: int, parts: tuple) -> str:
+    """One member as json.dump(..., indent=2) lays it out in a list under a top-level key."""
+    if kind == "arcs":
+        arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in parts)
+        return f"[\n      {arcs}\n    ]" if parts else "[]"
+    basis = '[\n        "' + '",\n        "'.join(parts) + '"\n      ]' if parts else "[]"
+    return f'{{\n      "D": {n},\n      "basis": {basis}\n    }}'
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, kind = args.D, args.kind
-    # the arc sets and the collection are filtered; the other walks hold the grade alone
-    members = [m for m in _members(kind, n, args.grade) if args.grade is None or len(m) == args.grade]
+    members = [m for m in _members(kind, n) if args.grade is None or len(m) == args.grade]
     if args.format == "json":
         shown = members if kind == "arcs" else [{"D": n, "basis": rows} for rows in members]
         print(json.dumps({"D": n, "kind": kind, "members": shown}))
@@ -205,54 +193,54 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0 if result.found else 1
 
 
-def _export(out, stem: str, header: list[str], write) -> list:
-    """Write OUT/STEM.csv and OUT/STEM.json in one pass, and return both paths:
-    write(fh, row) lays out the JSON on fh and hands each CSV row to row."""
+def _export(out, n: int, stem: str, kinds: dict[str, str]) -> tuple[list, dict[str, list[int]]]:
+    """Write OUT/STEM.csv and OUT/STEM.json, {"D": n, KEY: [member, ...], ...} in the
+    bytes of json.dump(..., indent=2), in one pass over the members of each KEY's kind.
+    Return both paths and each kind's member count per grade 0..n."""
     import csv
     paths = [out / f"{stem}.csv", out / f"{stem}.json"]
+    tally = {kind: [0] * (n + 1) for kind in kinds.values()}
     with paths[0].open("w", encoding="utf-8") as csv_fh, paths[1].open("w", encoding="utf-8") as fh:
         row = csv.writer(csv_fh, lineterminator="\n").writerow
-        row(header)
-        write(fh, row)
-        fh.write("\n")
-    return paths
+        row(_csv_header(stem))  # families: the basis header that f0 and f1 share
+        fh.write(f'{{\n  "D": {n}')
+        for key, kind in kinds.items():
+            fh.write(f',\n  "{key}": [')
+            sep = "\n    "
+            for parts in _members(kind, n):
+                tally[kind][len(parts)] += 1
+                row(_csv_row(kind, n, parts))
+                fh.write(sep + _json_member(kind, n, parts))
+                sep = ",\n    "
+            fh.write("]" if sep == "\n    " else "\n  ]")
+        fh.write("\n}\n")
+    return paths, tally
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    import csv
     from pathlib import Path
     from .counting import count_rows
     n = args.D
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grades = {kind: [0] * (n + 1) for kind in ("f0", "f1", "collection", "arcs")}
-
-    def table(stem: str, keys: dict[str, str]) -> list:
-        # each JSON key's kind, one member at a time: tallied and written as a CSV row on the way
-        def rendered(kind: str, row) -> Iterator[tuple]:
-            for parts in _members(kind, n):
-                grades[kind][len(parts)] += 1
-                row(_csv_row(kind, n, parts))
-                yield parts
-
-        kind = next(iter(keys.values()))  # f0 and f1 share the header and the JSON template
-        return _export(out, stem, _csv_header(kind), lambda fh, row: _write_json(
-            fh, n, kind, {key: rendered(k, row) for key, k in keys.items()}))
-
-    for kind in ("arcs", "collection"):
-        print(*(f"wrote {path}" for path in table(kind, {"members": kind})), sep="\n")
-    # the count rows tally the families as they are written, but counts.* is listed first
-    families = table("families", {"f0": "f0", "f1": "f1"})
-    counts = count_rows(n, grades["f0"], grades["f1"], grades["collection"], grades["arcs"])
+    paths, tally = {}, {}
+    # the counts are tallied from the tables as they are written, so they come last
+    for stem, kinds in [("arcs", {"members": "arcs"}), ("collection", {"members": "collection"}),
+                        ("families", {"f0": "f0", "f1": "f1"})]:
+        paths[stem], counted = _export(out, n, stem, kinds)
+        tally.update(counted)
+    counts = count_rows(n, tally["f0"], tally["f1"], tally["collection"], tally["arcs"])
     header = ["D", "label", "observed", "expected", "pass"]
-
-    def write_counts(fh, row) -> None:
-        for r in counts:
-            row([r.D, r.label, r.observed, r.expected, str(r.passed).lower()])
-        records = [dict(zip(header, (r.D, r.label, r.observed, r.expected, r.passed))) for r in counts]
-        json.dump({"D": n, "rows": records}, fh, indent=2)
-
-    for path in _export(out, "counts", header, write_counts) + families:
-        print(f"wrote {path}")
+    paths["counts"] = [out / "counts.csv", out / "counts.json"]
+    with paths["counts"][0].open("w", encoding="utf-8") as fh:
+        rows = [[r.D, r.label, r.observed, r.expected, str(r.passed).lower()] for r in counts]
+        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+    records = [dict(zip(header, (r.D, r.label, r.observed, r.expected, r.passed))) for r in counts]
+    paths["counts"][1].write_text(json.dumps({"D": n, "rows": records}, indent=2) + "\n", encoding="utf-8")
+    for stem in sorted(paths):  # file-name order
+        for path in paths[stem]:
+            print(f"wrote {path}")
     return 0
 
 
