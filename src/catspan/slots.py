@@ -42,6 +42,12 @@ zero of V_m (m >= 2), the slot-2 child of the zero below, so the one root
 is the zero of V_0.  The count over first slots then gives Cat_{D/2+1}
 (tested for every even D <= 200), the whole collection by the arc bijection.
 A member's peel is D/2 slots, the level-0 peel of its Lagrangian image.
+
+Lockstep.  As C's canonical parent is P, peel(step(i, P)) = [i] + peel(P).
+So level_down(F1.step(i, P)) == F0.step(i, level_down(P)): the f1 walk from
+the base of V_m and the f0 walk from the zero of V_m take the same slots, as
+do the collection walk and its Lagrangian images from the zero of V_0, and
+pairs() carries the image down the walk, one step a member.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .gf2 import Subspace, check_even, odd_support
 
-__all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "members", "replay", "first_slot", "peel"]
+__all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "members", "pairs", "replay", "first_slot", "peel"]
 
 T = TypeVar("T")
 
@@ -121,18 +127,25 @@ def members(rule: Rule, n: int, start: int | None = None) -> Iterator[Subspace]:
     canonical parents from the roots (see the module docstring).  With a
     start m, only the tree under the base of V_m if it is a root: at levels 0
     and 1, where every slot adjoins e_i, the one grade (n - m)/2 + full_base."""
+    return (E for E, _ in pairs(rule, None, n, start))
+
+
+def pairs(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
+    """(E, the member of image that E's slots build from image's base) for each
+    E of members(rule, n, start), in its order: image steps with rule's slots
+    down the one walk (see Lockstep above).  With image None, the image is None."""
     check_even(n)
     starts = (m for m in range(2 * rule.full_base, n + 1, 2) if start in (None, m))
-    stack = [(B, B.n) for B in map(rule.base, starts) if first_slot(B, rule) is None]
+    stack = [(B, image and image.base(B.n)) for B in map(rule.base, starts) if first_slot(B, rule) is None]
     while stack:
-        P, m = stack.pop()
-        if m == n:
-            yield P
+        P, Q = stack.pop()
+        if P.n == n:
+            yield P, Q
             continue
         f = first_slot(P, rule)
-        top = m + 2 if f is None else f + 1
-        m += 2
-        stack.extend((rule.step(i, P, m), m) for i in range(1, top + 1))
+        m = P.n + 2
+        top = m if f is None else f + 1
+        stack.extend((rule.step(i, P, m), image and image.step(i, Q, m)) for i in range(1, top + 1))
 
 
 def replay(slots: list[int], x: T, n: int, step: Callable[[int, T, int], T]) -> T:

@@ -4,9 +4,11 @@ Each check walks one identity exhaustively at the given ambient dimension.
 A check's body returns its first counterexample in full as text, or None
 when the identity holds; _check names it, keeps its oracle cap as check.cap
 and makes the public check, which returns a CheckResult.  Levels come from
-slots.members; a map's image is a member when the inverse map's peel accepts
-it.  These checks are the one implementation of each identity, run on demand
-and by the acceptance gate at scale; tests/test_verify.py plants a fault
+slots.members.  level-bijection and lagrangian-correspondence take each image
+from slots.pairs, which steps level 0 down the source walk; the inverse map's
+peel, the round trip, the line test and the containment clauses stay its
+witnesses.  These checks are the one implementation of each identity, run on
+demand and by the acceptance gate at scale; tests/test_verify.py plants a fault
 under each to show that it can fail, and the unit tests keep their own loops.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .counting import CountRow, gaussian_binomial, grades, verify_counts
-from .families import classify_by_lines, level_down, level_up
+from .families import classify_by_lines, level_up
 from .gf2 import is_isotropic, subspace_key
 from .noncrossing import (
     Arc,
@@ -33,9 +35,8 @@ from .noncrossing import (
     seq_key,
     shift_arc,
     span_arcs,
-    to_lagrangian,
 )
-from .slots import COLLECTION, F0, F1, layer, members
+from .slots import COLLECTION, F0, F1, layer, members, pairs
 from . import oracle as oracle_mod
 
 __all__ = ["CheckResult", "run_checks", "ORACLE_CHECKS"]
@@ -50,7 +51,8 @@ class CheckResult:
 
 
 def _canonical(items) -> list:
-    return sorted(items, key=subspace_key)
+    """Members, or (member, image) pairs by their member, in canonical order."""
+    return sorted(items, key=lambda x: subspace_key(x[0] if isinstance(x, tuple) else x))
 
 
 def _check(name: str, cap: str | None = None):
@@ -118,14 +120,13 @@ def check_families_isotropic(n: int, *, order) -> str | None:
 @_sorted_on_failure
 def check_level_bijection(n: int, *, order) -> str | None:
     count = 0
-    for E in order(members(F1, n)):
+    for E, E0 in order(pairs(F1, F0, n)):
         kind, marked = classify_by_lines(E)
         if kind != "f1" or marked is None:
             return f"level-1 member misclassified as {kind}: {E.to_json()}"
         # an odd start and an even end also make the marked line parity 0
         if marked.a % 2 == 0 or marked.b % 2:
             return f"marked line ({marked.a}, {marked.b}) is not (odd, even)"
-        E0 = level_down(E)
         try:
             up = level_up(E0)  # peels E0 at level 0 and rejects a Lagrangian
         except ValueError:
@@ -136,7 +137,7 @@ def check_level_bijection(n: int, *, order) -> str | None:
         if up != E:
             return f"level_up(level_down(E)) != E at {E.to_json()}"
         count += 1
-    return _onto(n, count, F0, range(n // 2), map(level_down, members(F1, n)))
+    return _onto(n, count, F0, range(n // 2), (E0 for _, E0 in pairs(F1, F0, n)))
 
 
 @_check("arc-bijection")
@@ -160,7 +161,7 @@ def check_arc_bijection(n: int) -> str | None:
 @_check("lagrangian-correspondence")
 @_sorted_on_failure
 def check_lagrangian(n: int, *, order) -> str | None:
-    """to_lagrangian(E) is E + E^!, E^! the annihilator of E in the even part.
+    """L = to_lagrangian(E) is E + E^!, E^! the annihilator of E in the even part.
 
     L lies in the Lagrangian level, so it is isotropic of dimension n/2.  It
     contains E, and its odd projection is E.  So L meets the even part in
@@ -168,8 +169,7 @@ def check_lagrangian(n: int, *, order) -> str | None:
     whose dimension is n/2 - dim E.  From those clauses, L = E + E^!.
     """
     count = 0
-    for E in order(members(COLLECTION, n)):
-        L = to_lagrangian(E)
+    for E, L in order(pairs(COLLECTION, F0, n)):
         try:
             back = from_lagrangian(L)  # peels L at level 0 and checks its dimension
         except ValueError:
@@ -179,7 +179,7 @@ def check_lagrangian(n: int, *, order) -> str | None:
         if back != E:
             return f"round trip broken at {E.to_json()}"
         count += 1
-    return _onto(n, count, F0, (n // 2,), map(to_lagrangian, members(COLLECTION, n)))
+    return _onto(n, count, F0, (n // 2,), (L for _, L in pairs(COLLECTION, F0, n)))
 
 
 @_check("shift-lemmas")

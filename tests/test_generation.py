@@ -22,7 +22,7 @@ from catspan.families import FamilyTable, build_families
 from catspan.gf2 import Subspace, subspace_key
 from catspan.noncrossing import build_collection, to_lagrangian
 from catspan.oracle import all_subspaces
-from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, peel
+from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, pairs, peel
 
 
 def first_slot_counts(start, D_max, every_base=True):
@@ -154,8 +154,27 @@ def test_no_output_depends_on_the_walk_order(monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(
             module, "members", lambda rule, n, start=None: reversed(list(members(rule, n, start)))
         )
+    monkeypatch.setattr(
+        verify, "pairs", lambda rule, image, n, start=None: reversed(list(pairs(rule, image, n, start)))
+    )
     assert command_outputs(tmp_path / "reversed", capsys) == walked
     counting.grades.cache_clear()
+
+
+def test_pairs_carry_each_image_down_the_walk():
+    # lockstep: the E side is the walk itself, in its order, and each image is
+    # the one that the map's peel and replay build; no image repeats
+    for D in range(0, 15, 2):
+        for rule, image, starts, to_image in (
+            (F1, F0, [None, *range(2, D + 1, 2)], families.level_down),
+            (COLLECTION, F0, [None, 0], to_lagrangian),
+        ):
+            for start in starts:
+                walk = list(pairs(rule, image, D, start))
+                assert [E for E, _ in walk] == list(members(rule, D, start)), (D, rule, start)
+                assert all(Q == to_image(E) for E, Q in walk), (D, rule, start)
+                assert len({Q for _, Q in walk}) == len(walk), (D, rule, start)
+        assert all(Q is None for _, Q in pairs(F0, None, D)), D
 
 
 def test_one_start_is_one_grade():

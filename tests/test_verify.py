@@ -7,10 +7,11 @@ catspan.counting), never a table builder, and runs the check at small D.
 """
 
 import functools
+from collections import Counter
 
 import pytest
 
-from catspan import cli, counting, noncrossing, slots, verify
+from catspan import cli, counting, families, noncrossing, slots, verify
 from catspan.families import Line, build_families
 from catspan.gf2 import Subspace, span_masks, subspace_key
 from catspan.noncrossing import Arc, ArcSequence
@@ -86,6 +87,21 @@ def test_passing_table_walks_sort_nothing(monkeypatch):
     assert verify.check_oracle_families(6).ok
 
 
+def test_the_paired_checks_peel_once_a_member(monkeypatch):
+    # each image rides the slot walk, so the one peel per member is the round
+    # trip's level-0 peel, in level_up or from_lagrangian
+    peels = Counter()
+    for module in (families, noncrossing):
+        monkeypatch.setattr(
+            module, "peel", lambda E, rule, real=module.peel: peels.update([rule]) or real(E, rule)
+        )
+    assert verify.check_level_bijection(8).ok
+    assert peels == {slots.F0: sum(1 for _ in slots.members(slots.F1, 8))}
+    peels.clear()
+    assert verify.check_lagrangian(8).ok
+    assert peels == {slots.F0: sum(1 for _ in slots.members(slots.COLLECTION, 8))}
+
+
 def test_failure_names_the_canonically_first_member(monkeypatch):
     # fails every dim-2 member, not every member: the stored walk meets some
     # failing member first, the report still names the least in canonical order
@@ -102,15 +118,24 @@ def test_marked_line_runs_from_odd_to_even(monkeypatch):
     assert res.counterexample == "marked line (2, 3) is not (odd, even)"
 
 
+def _images(fault):
+    """slots.pairs, but the image that the walk carries with E is fault(E)."""
+
+    def walk(rule, image, n, start=None):
+        return ((E, fault(E)) for E, _ in slots.pairs(rule, image, n, start))
+
+    return walk
+
+
 @pytest.mark.parametrize(
     "name, fault, member",
     [
         # the marked line is not in E
         ("classify_by_lines", lambda E: ("f1", Line(1, 2)), "['1111']"),
         # the image is too small
-        ("level_down", lambda E: Subspace(E.n, ()), "['1000', '0011']"),
+        ("pairs", _images(lambda E: Subspace(E.n, ())), "['1000', '0011']"),
         # the image <e_4> is not inside E = <e_1, e_3 + e_4>
-        ("level_down", lambda E: span_masks([1 << (E.n - 1)] * (E.dim - 1), E.n), "['1000', '0011']"),
+        ("pairs", _images(lambda E: span_masks([1 << (E.n - 1)] * (E.dim - 1), E.n)), "['1000', '0011']"),
     ],
     ids=["line-outside", "image-too-small", "image-outside"],
 )
@@ -126,19 +151,20 @@ def test_lagrangian_image_must_contain_its_source(monkeypatch):
     coll = noncrossing.build_collection(4).sorted_members()
     relabel = dict(zip(coll, coll[1:] + coll[:1]))
     back = {v: k for k, v in relabel.items()}
-    monkeypatch.setattr(verify, "to_lagrangian", lambda E: noncrossing.to_lagrangian(relabel[E]))
+    images = dict(slots.pairs(slots.COLLECTION, slots.F0, 4))
+    monkeypatch.setattr(verify, "pairs", _images(lambda E: images[relabel[E]]))
     monkeypatch.setattr(verify, "from_lagrangian", lambda L: back[noncrossing.from_lagrangian(L)])
     res = verify.check_lagrangian(4)
     assert res.counterexample == "image of {'D': 4, 'basis': ['0010']} does not contain it"
 
 
 def _walk_without_first(rule):
-    """slots.members, but the canonically first member of rule's level is dropped."""
+    """slots.pairs, but the pair of the canonically first member of rule's level is dropped."""
 
-    def walk(r, n):
-        out = list(slots.members(r, n))
+    def walk(r, image, n, start=None):
+        out = list(slots.pairs(r, image, n, start))
         if r is rule:
-            out.remove(min(out, key=subspace_key))
+            out.remove(min(out, key=lambda pair: subspace_key(pair[0])))
         return iter(out)
 
     return walk
@@ -147,7 +173,7 @@ def _walk_without_first(rule):
 @pytest.mark.parametrize(
     "check, name, fault, missed",
     [
-        (verify.check_level_bijection, "members", _walk_without_first(slots.F1), "[]"),
+        (verify.check_level_bijection, "pairs", _walk_without_first(slots.F1), "[]"),
         (
             verify.check_arc_bijection,
             "enumerate_noncrossing",
@@ -156,7 +182,7 @@ def _walk_without_first(rule):
         ),
         (
             verify.check_lagrangian,
-            "members",
+            "pairs",
             _walk_without_first(slots.COLLECTION),
             "['0100', '0001']",
         ),
@@ -172,11 +198,11 @@ def test_a_dropped_source_member_is_missed(monkeypatch, check, name, fault, miss
 
 def test_a_repeated_source_member_is_not_injective(monkeypatch):
     # the left inverse holds member by member; the repeat shows in the counts
-    def walk(r, n):
-        out = list(slots.members(r, n))
+    def walk(r, image, n, start=None):
+        out = list(slots.pairs(r, image, n, start))
         return iter(out + out[:1] if r is slots.F1 else out)
 
-    monkeypatch.setattr(verify, "members", walk)
+    monkeypatch.setattr(verify, "pairs", walk)
     res = verify.check_level_bijection(4)
     assert res.counterexample == "not injective: 6 members, 5 images"
 
