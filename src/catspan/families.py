@@ -1,31 +1,23 @@
 """Inductive families of isotropic subspaces of V_n.
 
-The level-0 and level-1 families are generated by the slot induction of
-the slots module: a member of the smaller space is re-embedded with a gap
-opened at index i and the new basis vector e_i is adjoined.  Each member is
-made once, from its canonical parent (see the slots module).  Lines spanned
-by consecutive-run vectors e_a + ... + e_b recover the structure: level-0
-members decompose into odd-length runs only, level-1 members carry exactly
-one even-length run, and dropping it is a bijection onto the sub-Lagrangian
-level-0 part.
+The level-0 and level-1 families come from the slot induction of the slots
+module: a member of the smaller space is re-embedded with a gap opened at
+index i and e_i is adjoined, each member once, from its canonical parent.
+Lines spanned by consecutive-run vectors e_a + ... + e_b recover the
+structure: level-0 members decompose into odd-length runs only, level-1
+members carry exactly one even-length run, and dropping it is a bijection
+onto the sub-Lagrangian level-0 part.  classify_by_lines reads the lines off
+the residue classes of the prefixes e_1 + ... + e_b, with no row reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Subspace, span_masks
+from .gf2 import Subspace
 from .slots import F0, F1, members, peel
 
-__all__ = [
-    "Line",
-    "FamilyTable",
-    "build_families",
-    "lines_in",
-    "classify_by_lines",
-    "level_down",
-    "level_up",
-]
+__all__ = ["Line", "FamilyTable", "build_families", "lines_in", "classify_by_lines", "level_down", "level_up"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -69,12 +61,8 @@ def build_families(n: int) -> FamilyTable:
 
 
 def lines_in(E: Subspace) -> frozenset[Line]:
-    """Every consecutive-run line contained in E.
-
-    Reduction against RREF rows is linear with kernel E, so the line
-    e_a + ... + e_b lies in E exactly when the prefixes e_1 + ... + e_{a-1}
-    and e_1 + ... + e_b leave the same residue: n + 1 reductions in all.
-    """
+    """Every consecutive-run line contained in E: the runs between two
+    prefixes with the same residue (see classify_by_lines), n + 1 reductions."""
     ends_by_residue: dict[int, list[int]] = {}
     out = []
     for b in range(E.n + 1):
@@ -85,24 +73,34 @@ def lines_in(E: Subspace) -> frozenset[Line]:
 
 
 def classify_by_lines(E: Subspace) -> tuple[str, Line | None]:
-    """Shape test from the contained lines.
+    """("f0", None) when E is the direct sum of its lines, all parity-1; ("f1", L)
+    when exactly one line, L, is parity-0; else ("other", None).  Necessary for
+    membership, not sufficient: <e_1+e_2+e_3> in V_4 is in neither level.
 
-    Returns ("f0", None) when E is the direct sum of its lines and all of
-    them are parity-1, ("f1", L) when exactly one is parity-0, and
-    ("other", None) in every remaining case.  The test is necessary for
-    family membership, not sufficient: F(e_1+e_2+e_3) in V_4 is the direct
-    sum of one parity-1 line but belongs to neither level.  The level maps
-    go through the slot peel instead; verify checks them against this test.
+    With P_b = e_1 + ... + e_b and P_0 = 0, the run e_a + ... + e_b is P_{a-1} + P_b,
+    and P_1 ... P_n are a basis: runs are the edges of a graph on 0..n, independent
+    exactly when they form a forest.  A run is in E when its two prefixes have one
+    residue mod E, so E's lines are a clique per residue class, a forest only on at
+    most 2 vertices.  So the lines span E exactly when no class holds 3 or more
+    prefixes and the 2-prefix classes number E.dim; {a-1, b} is marked when b - a
+    is odd.  In canonical RREF a pivot column is zero in the other rows, so the
+    residue of P_b is P_b plus the rows with pivot in x_1..x_b: one running sum.
     """
-    B = lines_in(E)
-    if len(B) != E.dim or span_masks((L.mask() for L in B), E.n) != E:
+    pivot_rows = {r & -r: r for r in E.rows}
+    first, x, pairs, marked = {0: 0}, 0, 0, []
+    for b in range(1, E.n + 1):
+        bit = 1 << (b - 1)
+        x ^= bit ^ pivot_rows.get(bit, 0)  # the residue of P_b
+        start = first.setdefault(x, b)  # the class's first prefix, or -1 once it has two
+        if start < 0:
+            return ("other", None)
+        if start < b:
+            first[x], pairs = -1, pairs + 1
+            if (b - start) % 2 == 0:
+                marked.append(Line(start + 1, b))
+    if pairs != E.dim or len(marked) > 1:
         return ("other", None)
-    marked = [L for L in B if L.parity == 0]
-    if not marked:
-        return ("f0", None)
-    if len(marked) == 1:
-        return ("f1", marked[0])
-    return ("other", None)
+    return ("f1", marked[0]) if marked else ("f0", None)
 
 
 def level_down(E: Subspace) -> Subspace:

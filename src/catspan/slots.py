@@ -92,14 +92,17 @@ class Rule(NamedTuple):
     def step(self, i: int, P: Subspace, n: int) -> Subspace:
         """embed_i(P) + <e_i> in canonical RREF, from the canonical rows of P.
 
-        Fan 0b101 serves every rule: where fan 0b111 adds e_i, the adjoined
-        e_i absorbs it.  The 0b101 embedding keeps each pivot and the pivot
-        order and leaves coordinate i zero, so the rows stay reduced and e_i
-        goes in at its pivot position."""
-        rows = [embed(i, r, 0b101) for r in P.rows]
+        Each row takes fan 0b101 inline (e_i absorbs 0b111's middle bit): x_1..x_{i-1}
+        stay, x_{i-1} is copied to x_{i+1} and the rest shift up two.  That keeps
+        the pivots in order, and e_i goes in after the rows with a bit in x_1..x_{i-1},
+        a prefix of the rows."""
+        unit, low = 1 << (i - 1), (1 << (i - 1)) - 1
+        rows = [r & low | r << 2 & unit << 1 | r >> (i - 1) << (i + 1) for r in P.rows]
         if not self.odd_only or i % 2:
-            low = (1 << (i - 1)) - 1
-            rows.insert(sum(1 for r in rows if r & low), 1 << (i - 1))
+            k = 0
+            while k < len(rows) and rows[k] & low:
+                k += 1
+            rows.insert(k, unit)
         return Subspace(n, tuple(rows))
 
     def build(self, slots: list[int], n: int) -> Subspace:

@@ -8,6 +8,7 @@ the builders is an honest element-for-element comparison.
 
 from functools import lru_cache
 
+from catspan.families import lines_in
 from catspan.gf2 import span_masks
 from catspan.noncrossing import Arc, ArcSequence
 from catspan.oracle import all_isotropic
@@ -17,6 +18,20 @@ from catspan.oracle import all_isotropic
 def isotropic(D):
     """oracle.all_isotropic(D), enumerated once per pytest run."""
     return tuple(all_isotropic(D))
+
+
+def classify_by_span(E):
+    """The line witness by row reduction, the oracle for families.classify_by_lines:
+    E's lines must number E.dim and span E, and at most one may be parity-0."""
+    B = lines_in(E)
+    if len(B) != E.dim or span_masks((L.mask() for L in B), E.n) != E:
+        return ("other", None)
+    marked = [L for L in B if L.parity == 0]
+    if not marked:
+        return ("f0", None)
+    if len(marked) == 1:
+        return ("f1", marked[0])
+    return ("other", None)
 
 
 def sub(n, *vectors):

@@ -1,10 +1,12 @@
 """Inductive isotropic families, run lines, and the level bijection."""
 
 import math
+import random
 
 import pytest
 
-from _fixtures import F0_V2, F0_V4, F1_V2, F1_V4, sub
+from _fixtures import F0_V2, F0_V4, F1_V2, F1_V4, classify_by_span, sub
+from catspan import families
 from catspan.counting import catalan
 from catspan.families import (
     Line,
@@ -21,7 +23,8 @@ from catspan.gf2 import (
     mask_to_string,
     span_masks,
 )
-from catspan.slots import embed
+from catspan.oracle import all_subspaces
+from catspan.slots import COLLECTION, F0, F1, embed, members
 
 
 def test_line_basics():
@@ -140,6 +143,48 @@ def test_classify_is_not_a_membership_test():
     E = sub(4, (1, 2, 3))
     assert classify_by_lines(E) == ("f0", None)
     assert E not in build_families(4).f0
+
+
+def witness_cases():
+    """Every subspace of V_2, V_4 and V_6; 3,000 random spans and 3,000 random
+    spans of runs at each D = 8..14; every f0, f1 and collection member at D <= 14."""
+    rng = random.Random(21)
+    for n in (2, 4, 6):
+        yield from all_subspaces(n)
+    for D in range(8, 15, 2):
+        runs = [Line(a, b).mask() for a in range(1, D + 1) for b in range(a, D + 1)]
+        for _ in range(3000):
+            yield span_masks((rng.randrange(1 << D) for _ in range(rng.randrange(D + 1))), D)
+            yield span_masks(rng.sample(runs, rng.randrange(D // 2 + 2)), D)
+    for D in range(0, 15, 2):
+        for rule in (F0, F1, COLLECTION):
+            yield from members(rule, D)
+
+
+def test_prefix_class_witness_equals_the_span_oracle():
+    kinds = {"f0": 0, "f1": 0, "other": 0}
+    for E in witness_cases():
+        got = classify_by_lines(E)
+        assert got == classify_by_span(E)
+        runs = [(a, b) for a in range(1, E.n + 1) for b in range(a, E.n + 1)]
+        assert lines_in(E) == {Line(a, b) for a, b in runs if not E.residue((1 << b) - (1 << (a - 1)))}
+        kinds[got[0]] += 1
+    # the cases reach all three answers, each many times
+    assert min(kinds.values()) > 1000, kinds
+
+
+def test_classify_never_reduces_rows(monkeypatch):
+    table = build_families(8)
+
+    def no_rref(masks):
+        raise AssertionError("_rref called")
+
+    monkeypatch.setattr("catspan.gf2._rref", no_rref)
+    assert not hasattr(families, "span_masks")
+    for E in table.f0:
+        assert classify_by_lines(E) == ("f0", None)
+    for E in table.f1:
+        assert classify_by_lines(E)[0] == "f1"
 
 
 def test_classification_exact_within_families():

@@ -29,6 +29,17 @@ def paper_rows(rule, i, rows):
     return out
 
 
+def embed_step(rule, i, rows):
+    """The step row by row through embed with fan 0b101, e_i put in at its
+    pivot position by a count over every row: the definition that Rule.step
+    writes inline."""
+    out = [embed(i, r, 0b101) for r in rows]
+    if rule is not COLLECTION or i % 2:
+        low = (1 << (i - 1)) - 1
+        out.insert(sum(1 for r in out if r & low), 1 << (i - 1))
+    return tuple(out)
+
+
 def replays_to(E, slots, rule):
     """Both forward readings of the slots: canonical steps, and the paper's
     rows folded unreduced and spanned once at the top."""
@@ -45,13 +56,15 @@ def levels(D):
 
 def test_step_equals_the_span_of_the_paper_rows():
     # Subspace equality is structural on the rows, so this also shows that
-    # every step comes out in canonical RREF
+    # every step comes out in canonical RREF, row for row as embed gives it
     steps = 0
     for D in range(2, 15, 2):
         for rule, below in levels(D - 2):
             for P in below:
                 for i in range(1, D + 1):
-                    assert rule.step(i, P, D) == span_masks(paper_rows(rule, i, P.rows), D)
+                    E = rule.step(i, P, D)
+                    assert E == span_masks(paper_rows(rule, i, P.rows), D)
+                    assert E.rows == embed_step(rule, i, P.rows)
                     steps += 1
     assert steps == 62364
 
