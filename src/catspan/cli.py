@@ -139,15 +139,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     first_failure: str | None = None
     for row in counts:
         word = "PASS" if row.passed else "FAIL"
-        print(
-            f"D={row.D} count {row.label} observed={row.observed} "
-            f"expected={row.expected} {word}"
-        )
+        print(f"D={row.D} count {row.label} observed={row.observed} expected={row.expected} {word}")
         if not row.passed and first_failure is None:
-            first_failure = (
-                f"D={row.D} count {row.label}: observed {row.observed}, "
-                f"expected {row.expected}"
-            )
+            first_failure = f"D={row.D} count {row.label}: observed {row.observed}, expected {row.expected}"
     for res in results:
         word = "PASS" if res.ok else "FAIL"
         print(f"D={res.D} check {res.name} {word}")
@@ -244,13 +238,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-    "map": cmd_map,
-    "match": cmd_match,
-    "export": cmd_export,
-}
+COMMANDS = {"enumerate": cmd_enumerate, "verify": cmd_verify, "map": cmd_map,
+            "match": cmd_match, "export": cmd_export}
 
 
 def main(argv: list[str] | None = None) -> int:

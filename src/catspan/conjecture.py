@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .gf2 import Subspace, mask_to_string, span_masks, subspace_key
 from .slots import COLLECTION, members
@@ -30,16 +30,14 @@ __all__ = [
 MAX_RANK = 5  # |GL(6,2)| is already out of desk range
 
 
-@dataclass(frozen=True, slots=True)
-class SuppliedFamily:
+class SuppliedFamily(NamedTuple):
     """Subgroups of F_2^d, canonicalized and sorted on load."""
 
     d: int
     subgroups: tuple[Subspace, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     found: bool
     witness: tuple[int, ...] | None
     tried: int

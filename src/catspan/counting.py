@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .noncrossing import enumerate_noncrossing
 from .slots import COLLECTION, F0, F1, Rule, members
@@ -55,8 +55,7 @@ def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
     return num // den
 
 
-@dataclass(frozen=True, slots=True)
-class CountRow:
+class CountRow(NamedTuple):
     D: int
     label: str
     observed: int

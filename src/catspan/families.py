@@ -12,7 +12,7 @@ the residue classes of the prefixes e_1 + ... + e_b, with no row reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2 import Subspace
 from .slots import F0, F1, members, peel
@@ -20,16 +20,28 @@ from .slots import F0, F1, members, peel
 __all__ = ["Line", "FamilyTable", "build_families", "lines_in", "classify_by_lines", "level_down", "level_up"]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Line:
-    """The line F(e_a + e_{a+1} + ... + e_b); 1-based, a <= b."""
-
+class _Run(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.a <= self.b:
-            raise ValueError(f"bad line bounds ({self.a}, {self.b})")
+
+class Line(_Run):
+    """The line F(e_a + e_{a+1} + ... + e_b); 1-based, a <= b.  Ordered as (a, b),
+    hashed as (a, b), but equal only to a Line."""
+
+    __slots__ = ()
+    __hash__ = _Run.__hash__
+
+    def __new__(cls, a: int, b: int) -> "Line":
+        if not 1 <= a <= b:
+            raise ValueError(f"bad line bounds ({a}, {b})")
+        return _Run.__new__(cls, a, b)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Line and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     @property
     def parity(self) -> int:
@@ -40,8 +52,7 @@ class Line:
         return ((1 << (self.b - self.a + 1)) - 1) << (self.a - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyTable:
+class FamilyTable(NamedTuple):
     """Both family levels at ambient dimension n, plus the Lagrangian split."""
 
     n: int

@@ -8,19 +8,12 @@ ascending, which makes equality and hashing structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, NamedTuple
 
 __all__ = [
-    "Subspace",
-    "form_masks",
-    "span_masks",
-    "is_isotropic",
-    "mask_to_string",
-    "string_to_mask",
-    "subspace_key",
-    "odd_support",
-    "check_even",
+    "Subspace", "form_masks", "span_masks", "is_isotropic", "mask_to_string", "string_to_mask", "subspace_key",
+    "odd_support", "check_even",
 ]
 
 
@@ -32,13 +25,10 @@ def mask_to_string(mask: int, n: int) -> str:
 
 def string_to_mask(s: str) -> int:
     """Inverse of mask_to_string; rejects anything but 0/1 chars."""
-    mask = 0
-    for k, c in enumerate(s):
-        if c == "1":
-            mask |= 1 << k
-        elif c != "0":
+    for c in s:
+        if c not in "01":
             raise ValueError(f"bad bitstring char {c!r} in {s!r}")
-    return mask
+    return int(s[::-1] or "0", 2)
 
 
 def form_masks(a: int, b: int) -> int:
@@ -72,12 +62,24 @@ def odd_support(n: int) -> int:
     return ((1 << n) - 1) // 3
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
-    """Rowspace of V_n in canonical RREF.  Build via span_masks()."""
-
+class _Rowspace(NamedTuple):
     n: int
     rows: tuple[int, ...] = ()
+
+
+class Subspace(_Rowspace):
+    """Rowspace of V_n in canonical RREF.  Build via span_masks(); the
+    constructor checks the rows, Subspace._make((n, rows)) trusts them."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, rows: tuple[int, ...] = ()) -> "Subspace":
+        # rows nonzero in V_n, pivots (lowest bits) ascending, a pivot column zero in the other rows
+        pivots = [r & -r for r in rows]
+        mask = sum(pivots)
+        if pivots != sorted(set(pivots)) or any(r <= 0 or r >> n or r & mask != p for r, p in zip(rows, pivots)):
+            raise ValueError(f"rows {rows} are not canonical RREF in V_{n}")
+        return _Rowspace.__new__(cls, n, rows)
 
     @property
     def dim(self) -> int:
@@ -128,16 +130,11 @@ def span_masks(masks: Iterable[int], n: int) -> Subspace:
     rows = _rref(masks)
     if max(rows, default=0) >> n:
         raise ValueError(f"vector does not fit in V_{n}")
-    return Subspace(n, rows)
+    return Subspace._make((n, rows))
 
 
 def is_isotropic(E: Subspace) -> bool:
     """True when the form vanishes on E x E.  Alternating, so pairs suffice."""
     if E.n % 2:
         raise ValueError(f"ambient dimension must be even, got {E.n}")
-    rows = E.rows
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if form_masks(rows[i], rows[j]):
-                return False
-    return True
+    return not any(form_masks(r, s) for r, s in combinations(E.rows, 2))

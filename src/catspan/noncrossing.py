@@ -14,42 +14,43 @@ even-index part; its inverse is the projection onto the odd-index part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, NamedTuple
 
 from .gf2 import Subspace, check_even, odd_support, span_masks, subspace_key
 from .slots import COLLECTION, F0, members, peel, replay
 
 __all__ = [
-    "Arc",
-    "ArcSequence",
-    "OddCollection",
-    "is_noncrossing",
-    "enumerate_noncrossing",
-    "shift_arc",
-    "extend_seq",
-    "decompose",
-    "build_collection",
-    "span_arcs",
-    "arcs_of",
-    "to_lagrangian",
-    "from_lagrangian",
+    "Arc", "ArcSequence", "OddCollection", "is_noncrossing", "enumerate_noncrossing", "shift_arc", "extend_seq",
+    "decompose", "build_collection", "span_arcs", "arcs_of", "to_lagrangian", "from_lagrangian",
 ]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Arc:
-    """Arc (a, b): both odd, a <= b; stands for e_a + e_{a+2} + ... + e_b."""
-
+class _Ends(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.a <= self.b:
-            raise ValueError(f"bad arc bounds ({self.a}, {self.b})")
-        if self.a % 2 == 0 or self.b % 2 == 0:
-            raise ValueError(f"arc endpoints must be odd, got ({self.a}, {self.b})")
+
+class Arc(_Ends):
+    """Arc (a, b): both odd, a <= b; stands for e_a + e_{a+2} + ... + e_b.
+    Ordered as (a, b), hashed as (a, b), but equal only to an Arc."""
+
+    __slots__ = ()
+    __hash__ = _Ends.__hash__
+
+    def __new__(cls, a: int, b: int) -> "Arc":
+        if not 1 <= a <= b:
+            raise ValueError(f"bad arc bounds ({a}, {b})")
+        if a % 2 == 0 or b % 2 == 0:
+            raise ValueError(f"arc endpoints must be odd, got ({a}, {b})")
+        return _Ends.__new__(cls, a, b)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Arc and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def mask(self) -> int:
         # bits a-1, a+1, ..., b-1: a 0b...10101 block shifted into place
@@ -58,36 +59,30 @@ class Arc:
 
 def _pair_ok(x: Arc, y: Arc) -> bool:
     # disjoint intervals, or strictly nested either way round
-    if x.b < y.a or y.b < x.a:
-        return True
-    if x.a < y.a and y.b < x.b:
-        return True
-    if y.a < x.a and x.b < y.b:
-        return True
-    return False
+    return x.b < y.a or y.b < x.a or x.a < y.a and y.b < x.b or y.a < x.a and x.b < y.b
 
 
 def is_noncrossing(arcs: Iterable[Arc]) -> bool:
     """Pairwise disjoint-or-strictly-nested; duplicates count as crossing."""
-    xs = list(arcs)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if not _pair_ok(xs[i], xs[j]):
-                return False
-    return True
+    return all(_pair_ok(x, y) for x, y in combinations(arcs, 2))
 
 
-@dataclass(frozen=True, slots=True)
-class ArcSequence:
-    """A noncrossing set of arcs, stored sorted; hashable."""
-
+class _Arcs(NamedTuple):
     arcs: tuple[Arc, ...] = ()
 
-    def __post_init__(self) -> None:
-        if list(self.arcs) != sorted(set(self.arcs)):
+
+class ArcSequence(_Arcs):
+    """A noncrossing set of arcs, stored sorted; hashable.  A one-field record
+    whose len, iteration and `in` are those of its arcs."""
+
+    __slots__ = ()
+
+    def __new__(cls, arcs: tuple[Arc, ...] = ()) -> "ArcSequence":
+        if list(arcs) != sorted(set(arcs)):
             raise ValueError("arcs must be sorted and distinct; use ArcSequence.of")
-        if not is_noncrossing(self.arcs):
-            raise ValueError(f"arcs cross: {[(x.a, x.b) for x in self.arcs]}")
+        if not is_noncrossing(arcs):
+            raise ValueError(f"arcs cross: {[(x.a, x.b) for x in arcs]}")
+        return _Arcs.__new__(cls, arcs)
 
     @classmethod
     def of(cls, arcs: Iterable[Arc]) -> "ArcSequence":
@@ -101,6 +96,12 @@ class ArcSequence:
 
     def __iter__(self):
         return iter(self.arcs)
+
+    def __contains__(self, arc) -> bool:
+        return arc in self.arcs
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle: the record's one field
+        return (self.arcs,)
 
     def to_json(self) -> list[list[int]]:
         return [[x.a, x.b] for x in self.arcs]
@@ -205,8 +206,7 @@ def decompose(seq: ArcSequence, n: int) -> tuple[int, ArcSequence]:
     return i, ArcSequence.of(out)
 
 
-@dataclass(frozen=True, slots=True)
-class OddCollection:
+class OddCollection(NamedTuple):
     """The induction-generated collection of subspaces of the odd-index part."""
 
     n: int

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .gf2 import Subspace, check_even, form_masks
 from .noncrossing import Arc, ArcSequence, is_noncrossing, seq_key
@@ -33,8 +33,7 @@ MAX_ARC_SUBSET = 24  # 2^24 subsets is the hard line for the power-set filter
 BUDGET_VARS = {"max_dim": "CATSPAN_ORACLE_MAX_DIM", "max_odd_dim": "CATSPAN_ORACLE_MAX_ODD_DIM"}
 
 
-@dataclass(frozen=True, slots=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     """Cost ceilings; exceeding one raises instead of grinding."""
 
     max_dim: int = 8       # ambient cap for full subspace enumeration
@@ -85,7 +84,7 @@ def cells(n: int, budget: OracleBudget | None = None) -> Iterator[tuple[int, ...
 
 def all_subspaces(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
     """Every subspace of an n-dimensional space, in `cells` order."""
-    return [Subspace(n, rows) for rows in cells(n, budget)]
+    return [Subspace._make((n, rows)) for rows in cells(n, budget)]
 
 
 def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
@@ -107,7 +106,7 @@ def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
                 for v in values
                 if not any(form_masks(v, r) for r in rows)
             ]
-        out += [Subspace(n, rows) for rows in chosen]
+        out += [Subspace._make((n, rows)) for rows in chosen]
     return out
 
 

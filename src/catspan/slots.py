@@ -87,7 +87,7 @@ class Rule(NamedTuple):
         """The base of the level in V_n, a root where no slot fits it."""
         if self.full_base and not n:
             raise ValueError("level 1 has no member in V_0")
-        return Subspace(n, ((1 << n) - 1,) if self.full_base else ())
+        return Subspace._make((n, ((1 << n) - 1,) if self.full_base else ()))
 
     def step(self, i: int, P: Subspace, n: int) -> Subspace:
         """embed_i(P) + <e_i> in canonical RREF, from the canonical rows of P.
@@ -103,7 +103,7 @@ class Rule(NamedTuple):
             while k < len(rows) and rows[k] & low:
                 k += 1
             rows.insert(k, unit)
-        return Subspace(n, tuple(rows))
+        return Subspace._make((n, tuple(rows)))
 
     def build(self, slots: list[int], n: int) -> Subspace:
         """The member of V_n that the slots (top first) build from the base."""
@@ -194,6 +194,6 @@ def peel(E: Subspace, rule: Rule) -> list[int] | None:
     while (i := first_slot(E, rule)) is not None:
         unit, low = 1 << (i - 1), (1 << (i - 1)) - 1
         n -= 2
-        E = Subspace(n, tuple(r & low | r >> (i + 1) << (i - 1) for r in E.rows if r != unit))
+        E = Subspace._make((n, tuple(r & low | r >> (i + 1) << (i - 1) for r in E.rows if r != unit)))
         slots.append(i)
     return slots if len(E.rows) == rule.full_base and E == rule.base(n) else None

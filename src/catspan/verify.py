@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .counting import CountRow, gaussian_binomial, grades, verify_counts
 from .families import classify_by_lines, level_up
@@ -42,17 +42,16 @@ from . import oracle as oracle_mod
 __all__ = ["CheckResult", "run_checks", "ORACLE_CHECKS"]
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     D: int
     ok: bool
     counterexample: str | None = None
 
 
-def _canonical(items) -> list:
-    """Members, or (member, image) pairs by their member, in canonical order."""
-    return sorted(items, key=lambda x: subspace_key(x[0] if isinstance(x, tuple) else x))
+def _canonical(items, member=lambda E: E) -> list:
+    """Items in the canonical order of the member that member picks from each."""
+    return sorted(items, key=lambda x: subspace_key(member(x)))
 
 
 def _check(name: str, cap: str | None = None):
@@ -82,7 +81,7 @@ def _sorted_on_failure(body):
 
     @functools.wraps(body)
     def run(*args):
-        text = body(*args, order=lambda walk: walk)
+        text = body(*args, order=lambda walk, member=None: walk)
         return text and body(*args, order=_canonical)
 
     return run
@@ -120,7 +119,7 @@ def check_families_isotropic(n: int, *, order) -> str | None:
 @_sorted_on_failure
 def check_level_bijection(n: int, *, order) -> str | None:
     count = 0
-    for E, E0 in order(pairs(F1, F0, n)):
+    for E, E0 in order(pairs(F1, F0, n), lambda pair: pair[0]):
         kind, marked = classify_by_lines(E)
         if kind != "f1" or marked is None:
             return f"level-1 member misclassified as {kind}: {E.to_json()}"
@@ -169,7 +168,7 @@ def check_lagrangian(n: int, *, order) -> str | None:
     whose dimension is n/2 - dim E.  From those clauses, L = E + E^!.
     """
     count = 0
-    for E, L in order(pairs(COLLECTION, F0, n)):
+    for E, L in order(pairs(COLLECTION, F0, n), lambda pair: pair[0]):
         try:
             back = from_lagrangian(L)  # peels L at level 0 and checks its dimension
         except ValueError:

@@ -74,6 +74,9 @@ def test_import_loads_no_submodule():
     assert fresh(f"import catspan; {LOADED}") == ""
 
 
+EVERY_MODULE = "import sys; print(' '.join(sorted(sys.modules)))"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -81,11 +84,20 @@ def test_import_loads_no_submodule():
         ["map", "--op", "decompose", "--D", "4", "--input", "[[1, 3]]"],
         ["map", "--op", "level-down", "--D", "4", "--input", '{"basis": ["1110"]}'],
         ["enumerate", "--kind", "collection", "--D", "4"],
+        ["match", "--family", "FAMILY"],
     ],
 )
-def test_queries_load_only_what_they_use(argv):
-    loaded = fresh(f"import catspan.cli; catspan.cli.main({argv!r}); {LOADED}")
-    assert loaded.split() == [f"catspan.{m}" for m in ("cli", "families", "gf2", "noncrossing", "slots")]
+def test_queries_load_only_what_they_use(tmp_path, argv):
+    family = tmp_path / "family.json"  # the rank-1 collection, a match
+    family.write_text('{"d": 1, "subgroups": [[], ["1"]]}', encoding="utf-8")
+    argv = [str(family) if arg == "FAMILY" else arg for arg in argv]
+    loaded = fresh(f"import catspan.cli; catspan.cli.main({argv!r}); {EVERY_MODULE}").split()
+    modules = ["cli", "families", "gf2", "noncrossing", "slots"] + ["conjecture"] * (argv[0] == "match")
+    assert [m for m in loaded if m.startswith("catspan.")] == [f"catspan.{m}" for m in sorted(modules)]
+    # the records are NamedTuples: no command pays for dataclasses and what it imports;
+    # a bare interpreter is the floor, in case its site imports either
+    beyond_bare = set(loaded) - set(fresh(EVERY_MODULE).split())
+    assert {"dataclasses", "inspect"} & beyond_bare == set()
 
 
 def test_every_name_is_exported_once():
