@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from itertools import chain
-from typing import Iterable
+from itertools import chain, starmap
+from typing import Iterable, Sequence
 
 from .families import level_down, level_up
-from .gf2 import Subspace, subspace_key
+from .gf2 import Subspace
 from .noncrossing import (
     ArcSequence,
     arcs_of,
@@ -73,32 +74,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _members(kind: str, n: int) -> Iterable[tuple]:
+def _joined(n: int, rows: tuple[int, ...]) -> str:
+    """A subspace's basis strings joined by one format call: row j at bit n * j, under a sentinel."""
+    packed = 0
+    for r in reversed(rows):
+        packed = packed << n | r
+    return format(packed | 1 << n * len(rows), "b")[:0:-1]
+
+
+def _members(kind: str, n: int) -> Iterable[Sequence]:
     """One level in canonical order, each member rendered once to its parts, whose
     number is its grade: an arc set's (a, b) pairs or a subspace's basis strings.
-    f0, f1 and lagrangian come one grade, one walk start m, at a time: subspace_key
-    sorts by dimension first, so grades sorted alone and chained by ascending
-    dimension are the canonical order."""
+    Joined basis strings of one length n * grade sort as subspace_key, which sorts by
+    grade first; a start m of f0, f1 or lagrangian is one grade, the collection's is not."""
     if kind == "arcs":
         return [pairs for _, pairs in map(seq_key, enumerate_noncrossing(n))]
     rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
-    # one collection walk: its grade is not fixed by its start
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
-    # canonical RREF makes each key unique, so sorting the keys sorts the members
-    walks = (sorted(map(subspace_key, members(rule, n, m))) for m in starts)
-    return (rows for _, rows in chain.from_iterable(walks))
+    key = (lambda s: (len(s), s)) if kind == "collection" else None
+    walks = (sorted(starmap(_joined, members(rule, n, m)), key=key) for m in starts)
+    return map(re.compile(f".{{{n}}}").findall, chain.from_iterable(walks))
 
 
-def _csv_header(kind: str) -> list[str]:
-    return ["D", "kind", "s", "arcs"] if kind == "arcs" else ["D", "kind", "dim", "basis"]
+def _csv_header(kind: str) -> str:
+    return "D,kind,s,arcs\n" if kind == "arcs" else "D,kind,dim,basis\n"
 
 
-def _csv_row(kind: str, n: int, parts: tuple) -> list:
-    cells = [f"{a}-{b}" for a, b in parts] if kind == "arcs" else parts
-    return [n, kind, len(parts), "|".join(cells)]
+def _line(fmt: str, kind: str, n: int, parts: Sequence) -> str:
+    """One csv or text line; no csv cell holds a comma, a quote or a line break, so none is quoted."""
+    if fmt == "csv":
+        cells = [f"{a}-{b}" for a, b in parts] if kind == "arcs" else parts
+        return f"{n},{kind},{len(parts)},{'|'.join(cells)}\n"
+    if kind == "arcs":
+        return f"s={len(parts)} arcs={' '.join(f'({a},{b})' for a, b in parts) or '-'}\n"
+    return f"dim={len(parts)} basis={'|'.join(parts) or '-'}\n"
 
 
-def _json_member(kind: str, n: int, parts: tuple) -> str:
+def _json_member(kind: str, n: int, parts: Sequence) -> str:
     """One member as json.dump(..., indent=2) lays it out in a list under a top-level key."""
     if kind == "arcs":
         arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in parts)
@@ -109,20 +121,14 @@ def _json_member(kind: str, n: int, parts: tuple) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, kind = args.D, args.kind
-    members = [m for m in _members(kind, n) if args.grade is None or len(m) == args.grade]
+    members = (m for m in _members(kind, n) if args.grade is None or len(m) == args.grade)
     if args.format == "json":
-        shown = members if kind == "arcs" else [{"D": n, "basis": rows} for rows in members]
+        shown = list(members) if kind == "arcs" else [{"D": n, "basis": rows} for rows in members]
         print(json.dumps({"D": n, "kind": kind, "members": shown}))
-    elif args.format == "csv":
-        import csv
-        rows = [_csv_header(kind)] + [_csv_row(kind, n, parts) for parts in members]
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-    elif kind == "arcs":
-        for pairs in members:
-            print(f"s={len(pairs)} arcs={' '.join(f'({a},{b})' for a, b in pairs) or '-'}")
-    else:
-        for rows in members:
-            print(f"dim={len(rows)} basis={'|'.join(rows) or '-'}")
+        return 0
+    if args.format == "csv":
+        sys.stdout.write(_csv_header(kind))
+    sys.stdout.writelines(_line(args.format, kind, n, parts) for parts in members)  # streamed
     return 0
 
 
@@ -191,19 +197,17 @@ def _export(out, n: int, stem: str, kinds: dict[str, str]) -> tuple[list, dict[s
     """Write OUT/STEM.csv and OUT/STEM.json, {"D": n, KEY: [member, ...], ...} in the
     bytes of json.dump(..., indent=2), in one pass over the members of each KEY's kind.
     Return both paths and each kind's member count per grade 0..n."""
-    import csv
     paths = [out / f"{stem}.csv", out / f"{stem}.json"]
     tally = {kind: [0] * (n + 1) for kind in kinds.values()}
     with paths[0].open("w", encoding="utf-8") as csv_fh, paths[1].open("w", encoding="utf-8") as fh:
-        row = csv.writer(csv_fh, lineterminator="\n").writerow
-        row(_csv_header(stem))  # families: the basis header that f0 and f1 share
+        csv_fh.write(_csv_header(stem))  # families: the basis header that f0 and f1 share
         fh.write(f'{{\n  "D": {n}')
         for key, kind in kinds.items():
             fh.write(f',\n  "{key}": [')
             sep = "\n    "
             for parts in _members(kind, n):
                 tally[kind][len(parts)] += 1
-                row(_csv_row(kind, n, parts))
+                csv_fh.write(_line("csv", kind, n, parts))
                 fh.write(sep + _json_member(kind, n, parts))
                 sep = ",\n    "
             fh.write("]" if sep == "\n    " else "\n  ]")
@@ -212,11 +216,9 @@ def _export(out, n: int, stem: str, kinds: dict[str, str]) -> tuple[list, dict[s
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    import csv
     from pathlib import Path
     from .counting import count_rows
-    n = args.D
-    out = Path(args.out)
+    n, out = args.D, Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths, tally = {}, {}
     # the counts are tallied from the tables as they are written, so they come last
@@ -227,9 +229,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     counts = count_rows(n, tally["f0"], tally["f1"], tally["collection"], tally["arcs"])
     header = ["D", "label", "observed", "expected", "pass"]
     paths["counts"] = [out / "counts.csv", out / "counts.json"]
-    with paths["counts"][0].open("w", encoding="utf-8") as fh:
-        rows = [[r.D, r.label, r.observed, r.expected, str(r.passed).lower()] for r in counts]
-        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+    rows = [header] + [[r.D, r.label, r.observed, r.expected, str(r.passed).lower()] for r in counts]
+    paths["counts"][0].write_text("".join(",".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
     records = [dict(zip(header, (r.D, r.label, r.observed, r.expected, r.passed))) for r in counts]
     paths["counts"][1].write_text(json.dumps({"D": n, "rows": records}, indent=2) + "\n", encoding="utf-8")
     for stem in sorted(paths):  # file-name order

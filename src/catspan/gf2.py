@@ -69,11 +69,15 @@ class _Rowspace(NamedTuple):
 
 class Subspace(_Rowspace):
     """Rowspace of V_n in canonical RREF.  Build via span_masks(); the
-    constructor checks the rows, Subspace._make((n, rows)) trusts them."""
+    constructor checks n and the rows, Subspace._make((n, rows)) trusts them."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, rows: tuple[int, ...] = ()) -> "Subspace":
+        if not isinstance(rows, tuple) or not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"expected an int n and a tuple of rows, got {n!r} and {rows!r}")
+        if n < 0:  # in the one text that every entry gives for a negative dimension
+            check_even(n)
         # rows nonzero in V_n, pivots (lowest bits) ascending, a pivot column zero in the other rows
         pivots = [r & -r for r in rows]
         mask = sum(pivots)

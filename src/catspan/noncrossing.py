@@ -72,10 +72,13 @@ class _Arcs(NamedTuple):
 
 
 class ArcSequence(_Arcs):
-    """A noncrossing set of arcs, stored sorted; hashable.  A one-field record
-    whose len, iteration and `in` are those of its arcs."""
+    """A noncrossing set of arcs, stored sorted; hashable.  A one-field record whose
+    len, iteration and `in` are its arcs', while _make, _replace and _asdict see the field."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    _replace = lambda self, **fields: type(self)(**{"arcs": self.arcs, **fields})
+    _asdict = lambda self: {"arcs": self.arcs}
 
     def __new__(cls, arcs: tuple[Arc, ...] = ()) -> "ArcSequence":
         if list(arcs) != sorted(set(arcs)):

@@ -4,14 +4,15 @@ import csv
 import hashlib
 import io
 import json
-from itertools import chain
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from catspan import gf2
+from catspan import cli, gf2
 from catspan.cli import main
 from catspan.conjecture import collection_as_plain
+from catspan.counting import verify_counts
 from catspan.families import build_families
 from catspan.gf2 import mask_to_string, subspace_key
 from catspan.noncrossing import build_collection, enumerate_noncrossing
@@ -105,31 +106,37 @@ def test_enumerate_deterministic(capsys):
     assert first == second
 
 
-def reference_enumerate(kind, n, fmt, grade):
-    """enumerate's output built the slow way: sort the members, then to_json each."""
+def reference_members(kind, n):
+    """One table built the slow way: the whole table, sorted by subspace_key, then to_json each."""
     if kind == "arcs":
-        members = [seq.to_json() for seq in enumerate_noncrossing(n)]
+        return [seq.to_json() for seq in enumerate_noncrossing(n)]
+    if kind == "collection":
+        table = build_collection(n).members
     else:
-        if kind == "collection":
-            table = build_collection(n).members
-        else:
-            fams = build_families(n)
-            table = {"f0": fams.f0, "f1": fams.f1, "lagrangian": fams.f0_lagrangian}[kind]
-        members = [E.to_json() for E in sorted(table, key=subspace_key)]
+        fams = build_families(n)
+        table = {"f0": fams.f0, "f1": fams.f1, "lagrangian": fams.f0_lagrangian}[kind]
+    return [E.to_json() for E in sorted(table, key=subspace_key)]
 
-    def parts(m):
-        return m if kind == "arcs" else m["basis"]
 
-    members = [m for m in members if grade is None or len(parts(m)) == grade]
+def reference_csv_header(kind):
+    return ["D", "kind", "s", "arcs"] if kind == "arcs" else ["D", "kind", "dim", "basis"]
+
+
+def reference_csv_row(kind, n, m):
+    cells = [f"{a}-{b}" for a, b in m] if kind == "arcs" else m["basis"]
+    return [n, kind, len(cells), "|".join(cells)]
+
+
+def reference_enumerate(members, kind, n, fmt, grade):
+    """enumerate's output from reference_members, through json.dumps or csv.writer."""
+    members = [m for m in members if grade is None or len(m if kind == "arcs" else m["basis"]) == grade]
     if fmt == "json":
         return json.dumps({"D": n, "kind": kind, "members": members}) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["D", "kind", "s", "arcs"] if kind == "arcs" else ["D", "kind", "dim", "basis"])
-        for m in members:
-            cells = [f"{a}-{b}" for a, b in m] if kind == "arcs" else m["basis"]
-            writer.writerow([n, kind, len(cells), "|".join(cells)])
+        writer.writerow(reference_csv_header(kind))
+        writer.writerows(reference_csv_row(kind, n, m) for m in members)
         return buf.getvalue()
     if kind == "arcs":
         lines = [f"s={len(m)} arcs={' '.join(f'({a},{b})' for a, b in m) or '-'}" for m in members]
@@ -140,13 +147,55 @@ def reference_enumerate(kind, n, fmt, grade):
 
 @pytest.mark.parametrize("kind", ["f0", "f1", "lagrangian", "collection", "arcs"])
 def test_enumerate_matches_the_sorted_to_json_reference(capsys, kind):
-    for fmt in ("json", "csv", "text"):
-        for grade in (None, 0, 2, 4):
-            argv = ["enumerate", "--kind", kind, "--D", "6", "--format", fmt]
-            argv += [] if grade is None else ["--grade", str(grade)]
-            code, out, err = run(capsys, *argv)
-            assert code == 0 and err == ""
-            assert out == reference_enumerate(kind, 6, fmt, grade), (fmt, grade)
+    for n in range(2, 13, 2):
+        members = reference_members(kind, n)
+        for fmt in ("json", "csv", "text"):
+            for grade in (None, 0, 2, 4):
+                argv = ["enumerate", "--kind", kind, "--D", str(n), "--format", fmt]
+                argv += [] if grade is None else ["--grade", str(grade)]
+                code, out, err = run(capsys, *argv)
+                assert code == 0 and err == ""
+                assert out == reference_enumerate(members, kind, n, fmt, grade), (n, fmt, grade)
+
+
+def reference_export(n):
+    """export's eight files, name -> text, built the slow way: reference_members, csv.writer,
+    json.dump(..., indent=2), and the count rows of verify_counts' own walks."""
+    files = {}
+
+    def write(name, obj):
+        buf = io.StringIO()
+        if name.endswith(".json"):
+            json.dump(obj, buf, indent=2)
+            buf.write("\n")
+        else:
+            csv.writer(buf, lineterminator="\n").writerows(obj)
+        files[name] = buf.getvalue()
+
+    for stem, kinds in [("arcs", {"members": "arcs"}), ("collection", {"members": "collection"}),
+                        ("families", {"f0": "f0", "f1": "f1"})]:
+        obj, rows = {"D": n}, [reference_csv_header(stem)]
+        for key, kind in kinds.items():
+            obj[key] = reference_members(kind, n)
+            rows += [reference_csv_row(kind, n, m) for m in obj[key]]
+        write(f"{stem}.csv", rows)
+        write(f"{stem}.json", obj)
+    header = ["D", "label", "observed", "expected", "pass"]
+    counts = [(r.D, r.label, r.observed, r.expected, r.passed) for r in verify_counts(n)]
+    write("counts.csv", [header] + [[*row[:4], str(row[4]).lower()] for row in counts])
+    write("counts.json", {"D": n, "rows": [dict(zip(header, row)) for row in counts]})
+    return files
+
+
+def test_export_matches_the_slow_reference(capsys, tmp_path):
+    for n in range(2, 11, 2):
+        out_dir = tmp_path / str(n)
+        code, out, err = run(capsys, "export", "--D", str(n), "--out", str(out_dir))
+        assert code == 0 and err == ""
+        expected = reference_export(n)
+        assert len(expected) == 8
+        assert out == "".join(f"wrote {out_dir / name}\n" for name in sorted(expected))
+        assert {p.name: p.read_bytes().decode("utf-8") for p in out_dir.iterdir()} == expected, n
 
 
 def test_verify_passes(capsys):
@@ -443,20 +492,26 @@ def test_export_json_is_json_dump_at_indent_2(capsys, tmp_path):
 
 
 def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
-    calls = 0
-    real = gf2.mask_to_string
+    # one _joined call per subspace member renders all its rows; no row goes through mask_to_string
+    calls = Counter()
+    joined, mask_to_string = cli._joined, gf2.mask_to_string
 
-    def counting(mask, n):
-        nonlocal calls
-        calls += 1
-        return real(mask, n)
+    def counting_joined(n, rows):
+        calls["_joined"] += 1
+        return joined(n, rows)
 
-    monkeypatch.setattr(gf2, "mask_to_string", counting)
+    def counting_mask_to_string(mask, n):
+        calls["mask_to_string"] += 1
+        return mask_to_string(mask, n)
+
+    monkeypatch.setattr(cli, "_joined", counting_joined)
+    monkeypatch.setattr(gf2, "mask_to_string", counting_mask_to_string)
     code, _, _ = run(capsys, "export", "--D", "8", "--out", str(tmp_path / "out"))
     assert code == 0
+    joined_calls, string_calls = calls["_joined"], calls["mask_to_string"]
     table = build_families(8)
-    members = chain(table.f0, table.f1, build_collection(8).members)
-    assert calls == sum(E.dim for E in members)
+    assert string_calls == 0
+    assert joined_calls == len(table.f0) + len(table.f1) + len(build_collection(8).members)
 
 
 def test_usage_errors():

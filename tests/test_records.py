@@ -135,6 +135,35 @@ def test_every_built_subspace_passes_the_public_check():
             assert Subspace(*E) == E
 
 
+def test_subspace_rejects_a_bad_dimension_or_row_container():
+    for args in [(4, [1, 2]), (4, None), (4, range(0)), (True, ()), (False, ()), (4.0, ()), ("4", ())]:
+        with pytest.raises(ValueError, match=r"^expected an int n and a tuple of rows, got "):
+            Subspace(*args)
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError, match=rf"^ambient dimension must be even and >= 0, got {n}$"):
+            Subspace(n)
+    assert Subspace(3) == Subspace._make((3, ()))  # an odd dimension is a space too
+    assert Subspace(0) == Subspace._make((0, ()))
+    # _make trusts its fields, whatever they are
+    assert Subspace._make((True, [1, 2])) == (True, [1, 2])
+
+
+def test_arc_sequence_namedtuple_helpers_act_on_the_one_field():
+    for arcs in [(), (Arc(1, 1),), (Arc(1, 5), Arc(3, 3)), (Arc(1, 1), Arc(3, 3), Arc(5, 5))]:
+        seq = ArcSequence(arcs)
+        assert seq._asdict() == {"arcs": arcs}
+        assert ArcSequence(**seq._asdict()) == seq
+        assert ArcSequence._make([arcs]) == ArcSequence._make((seq.arcs,)) == seq
+        assert type(ArcSequence._make([arcs])) is ArcSequence
+        assert seq._replace() == seq and seq._replace(arcs=()) == ArcSequence()
+        assert ArcSequence()._replace(arcs=arcs) == seq
+    # _make and _replace build through the checking constructor
+    with pytest.raises(ValueError, match="arcs cross"):
+        seq._replace(arcs=(Arc(1, 5), Arc(3, 7)))
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        ArcSequence._make([(Arc(3, 3), Arc(1, 1))])
+
+
 def test_make_is_the_unchecked_path():
     raw = Subspace._make((4, (3, 1)))
     assert raw.rows == (3, 1) and raw != span_masks([3, 1], 4)
