@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # every submodule, with the names the package re-exports from it
 _EXPORTS = {
     "gf2": "Subspace span_masks is_isotropic",
-    "families": "Line FamilyTable build_families lines_in classify_by_lines level_down level_up",
+    "families": "Line FamilyTable build_families classify_by_lines level_down level_up",
     "noncrossing": "Arc ArcSequence OddCollection is_noncrossing enumerate_noncrossing shift_arc"
     " extend_seq decompose build_collection span_arcs arcs_of to_lagrangian from_lagrangian",
     "counting": "catalan narayana gaussian_binomial verify_counts",

@@ -14,34 +14,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .gf2 import Subspace
+from .gf2 import Run, Subspace
 from .slots import F0, F1, members, peel
 
-__all__ = ["Line", "FamilyTable", "build_families", "lines_in", "classify_by_lines", "level_down", "level_up"]
+__all__ = ["Line", "FamilyTable", "build_families", "classify_by_lines", "level_down", "level_up"]
 
 
-class _Run(NamedTuple):
-    a: int
-    b: int
-
-
-class Line(_Run):
-    """The line F(e_a + e_{a+1} + ... + e_b); 1-based, a <= b.  Ordered as (a, b),
-    hashed as (a, b), but equal only to a Line."""
+class Line(Run):
+    """The line F(e_a + e_{a+1} + ... + e_b); 1-based, a <= b, equal only to a Line."""
 
     __slots__ = ()
-    __hash__ = _Run.__hash__
-
-    def __new__(cls, a: int, b: int) -> "Line":
-        if not 1 <= a <= b:
-            raise ValueError(f"bad line bounds ({a}, {b})")
-        return _Run.__new__(cls, a, b)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Line and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
 
     @property
     def parity(self) -> int:
@@ -69,18 +51,6 @@ def build_families(n: int) -> FamilyTable:
     lag = frozenset(E for E in f0 if E.dim == half)
     sub = frozenset(E for E in f0 if E.dim < half)
     return FamilyTable(n, f0, frozenset(set(members(F1, n))), lag, sub)
-
-
-def lines_in(E: Subspace) -> frozenset[Line]:
-    """Every consecutive-run line contained in E: the runs between two
-    prefixes with the same residue (see classify_by_lines), n + 1 reductions."""
-    ends_by_residue: dict[int, list[int]] = {}
-    out = []
-    for b in range(E.n + 1):
-        ends = ends_by_residue.setdefault(E.residue((1 << b) - 1), [])
-        out.extend(Line(a + 1, b) for a in ends)
-        ends.append(b)
-    return frozenset(out)
 
 
 def classify_by_lines(E: Subspace) -> tuple[str, Line | None]:

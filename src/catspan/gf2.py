@@ -3,7 +3,8 @@
 Vectors of V_n live in machine words: bit i-1 holds the coefficient of e_i,
 so e_1 is the lowest bit.  All user-facing indices are 1-based; bit positions
 never leak.  Subspaces are kept in reduced row-echelon form with pivots
-ascending, which makes equality and hashing structural.
+ascending, which makes equality and hashing structural.  Run is the index
+pair (a, b) that the families' lines and the collection's arcs are read by.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 __all__ = [
-    "Subspace", "form_masks", "span_masks", "is_isotropic", "mask_to_string", "string_to_mask", "subspace_key",
-    "odd_support", "check_even",
+    "Subspace", "Run", "form_masks", "span_masks", "is_isotropic", "mask_to_string", "string_to_mask",
+    "subspace_key", "odd_support", "check_even",
 ]
 
 
@@ -123,6 +124,25 @@ class Subspace(_Rowspace):
                 raise ValueError(f"bitstring {s!r} does not have length {n}")
             masks.append(string_to_mask(s))
         return span_masks(masks, n)
+
+
+class Run(NamedTuple("Run", [("a", int), ("b", int)])):
+    """Indices (a, b), 1 <= a <= b: the base of Line and Arc, whose bounds error
+    names the subclass.  Ordered and hashed as (a, b), but equal only to its own type."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __new__(cls, a: int, b: int) -> "Run":
+        if not 1 <= a <= b:
+            raise ValueError(f"bad {cls.__name__.lower()} bounds ({a}, {b})")
+        return tuple.__new__(cls, (a, b))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
 
 def subspace_key(E: Subspace) -> tuple:

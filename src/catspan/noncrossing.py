@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .gf2 import Subspace, check_even, odd_support, span_masks, subspace_key
+from .gf2 import Run, Subspace, check_even, odd_support, span_masks, subspace_key
 from .slots import COLLECTION, F0, members, peel, replay
 
 __all__ = [
@@ -27,30 +27,17 @@ __all__ = [
 ]
 
 
-class _Ends(NamedTuple):
-    a: int
-    b: int
-
-
-class Arc(_Ends):
+class Arc(Run):
     """Arc (a, b): both odd, a <= b; stands for e_a + e_{a+2} + ... + e_b.
-    Ordered as (a, b), hashed as (a, b), but equal only to an Arc."""
+    Equal only to an Arc."""
 
     __slots__ = ()
-    __hash__ = _Ends.__hash__
 
     def __new__(cls, a: int, b: int) -> "Arc":
-        if not 1 <= a <= b:
-            raise ValueError(f"bad arc bounds ({a}, {b})")
+        arc = Run.__new__(cls, a, b)  # the bounds first: Arc(0, 3) has bad bounds
         if a % 2 == 0 or b % 2 == 0:
             raise ValueError(f"arc endpoints must be odd, got ({a}, {b})")
-        return _Ends.__new__(cls, a, b)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Arc and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
+        return arc
 
     def mask(self) -> int:
         # bits a-1, a+1, ..., b-1: a 0b...10101 block shifted into place

@@ -17,7 +17,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .gf2 import Subspace, check_even, form_masks
-from .noncrossing import Arc, ArcSequence, is_noncrossing, seq_key
+from .noncrossing import ArcSequence, is_noncrossing, odd_arcs, seq_key
 
 __all__ = [
     "OracleBudget",
@@ -116,7 +116,7 @@ def noncrossing_direct(n: int, budget: OracleBudget | None = None) -> list[ArcSe
     check_even(n)
     if n > budget.max_odd_dim:
         raise ValueError(f"ambient dimension {n} exceeds oracle budget {budget.max_odd_dim}")
-    arcs = [Arc(a, b) for a in range(1, n, 2) for b in range(a, n, 2)]
+    arcs = odd_arcs(n)
     if len(arcs) > MAX_ARC_SUBSET:
         raise ValueError(f"{len(arcs)} arcs exceeds the power-set cap {MAX_ARC_SUBSET}")
     out = []

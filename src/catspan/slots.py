@@ -56,20 +56,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .gf2 import Subspace, check_even, odd_support
 
-__all__ = ["Rule", "F0", "F1", "COLLECTION", "embed", "layer", "members", "pairs", "replay", "first_slot", "peel"]
+__all__ = ["Rule", "F0", "F1", "COLLECTION", "layer", "members", "pairs", "replay", "first_slot", "peel"]
 
 T = TypeVar("T")
-
-
-def embed(i: int, m: int, fan: int) -> int:
-    """Slot-i embedding of a mask of V_{n-2} into V_n: coordinates below
-    i-1 stay, e_{i-1} fans out to fan << (i - 2), the rest shift by two."""
-    if i < 2:
-        return m << 2
-    out = (m & ((1 << (i - 2)) - 1)) | ((m >> (i - 1)) << (i + 1))
-    if (m >> (i - 2)) & 1:
-        out |= fan << (i - 2)
-    return out
 
 
 class Rule(NamedTuple):

@@ -1,14 +1,19 @@
-"""Reference tables for the smallest ambient dimensions, written out by hand.
+"""Reference tables for the smallest ambient dimensions, written out by hand,
+and reference implementations that the package's fast paths are checked against.
 
 Each subspace is given as a tuple of generating vectors, each vector as a
 tuple of 1-based indices (its support).  The generators are deliberately
 not in reduced form; span_masks() canonicalizes, so set equality against
 the builders is an honest element-for-element comparison.
+
+embed is the slot embedding one mask at a time, the reference for the rows
+that slots.Rule.step writes inline; lines_in lists a subspace's lines by
+row reduction, the half of classify_by_span that classify_by_lines skips.
 """
 
 from functools import lru_cache
 
-from catspan.families import lines_in
+from catspan.families import Line
 from catspan.gf2 import span_masks
 from catspan.noncrossing import Arc, ArcSequence
 from catspan.oracle import all_isotropic
@@ -18,6 +23,29 @@ from catspan.oracle import all_isotropic
 def isotropic(D):
     """oracle.all_isotropic(D), enumerated once per pytest run."""
     return tuple(all_isotropic(D))
+
+
+def embed(i, m, fan):
+    """Slot-i embedding of a mask of V_{n-2} into V_n: coordinates below
+    i-1 stay, e_{i-1} fans out to fan << (i - 2), the rest shift by two."""
+    if i < 2:
+        return m << 2
+    out = (m & ((1 << (i - 2)) - 1)) | ((m >> (i - 1)) << (i + 1))
+    if (m >> (i - 2)) & 1:
+        out |= fan << (i - 2)
+    return out
+
+
+def lines_in(E):
+    """Every consecutive-run line contained in E: the runs between two
+    prefixes with the same residue (see classify_by_lines), n + 1 reductions."""
+    ends_by_residue = {}
+    out = []
+    for b in range(E.n + 1):
+        ends = ends_by_residue.setdefault(E.residue((1 << b) - 1), [])
+        out.extend(Line(a + 1, b) for a in ends)
+        ends.append(b)
+    return frozenset(out)
 
 
 def classify_by_span(E):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from _fixtures import F0_V2, F0_V4, F1_V2, F1_V4, classify_by_span, sub
+from _fixtures import F0_V2, F0_V4, F1_V2, F1_V4, classify_by_span, embed, lines_in, sub
 from catspan import families
 from catspan.counting import catalan
 from catspan.families import (
@@ -14,7 +14,6 @@ from catspan.families import (
     classify_by_lines,
     level_down,
     level_up,
-    lines_in,
 )
 from catspan.gf2 import (
     Subspace,
@@ -24,7 +23,7 @@ from catspan.gf2 import (
     span_masks,
 )
 from catspan.oracle import all_subspaces
-from catspan.slots import COLLECTION, F0, F1, embed, members
+from catspan.slots import COLLECTION, F0, F1, members
 
 
 def test_line_basics():

@@ -1,6 +1,6 @@
-"""Package imports: no private names across modules, no stale exports, a
-package that loads each module on first use, and README's Python examples
-run against the package as it is."""
+"""Package imports: no private names across modules, no stale exports, no
+module export that only tests use, a package that loads each module on first
+use, and README's Python examples run against the package as it is."""
 
 import ast
 import importlib
@@ -44,12 +44,33 @@ def test_every_export_resolves():
     assert stale == []
 
 
+def test_every_module_export_is_used_by_the_package():
+    # read back in the package's own code, by name, attribute or import; the
+    # definition and the __all__ string are no reference
+    used = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    unused = [
+        f"{module}.{name}"
+        for module in SUBMODULES
+        for name in getattr(importlib.import_module(f"catspan.{module}"), "__all__", ())
+        if name not in catspan.__all__ and name not in used
+    ]
+    assert unused == []
+
+
 EXPORTS = [
     "Arc", "ArcSequence", "FamilyTable", "Line", "MatchResult", "OddCollection", "OracleBudget",
     "Subspace", "SuppliedFamily", "all_isotropic", "all_subspaces", "arcs_of", "build_collection",
     "build_families", "catalan", "classify_by_lines", "decompose", "enumerate_noncrossing",
     "extend_seq", "fingerprint", "from_lagrangian", "gaussian_binomial", "gl_match", "is_isotropic",
-    "is_noncrossing", "level_down", "level_up", "lines_in", "load_family", "narayana",
+    "is_noncrossing", "level_down", "level_up", "load_family", "narayana",
     "noncrossing_direct", "shift_arc", "span_arcs", "span_masks", "to_lagrangian", "verify_counts",
 ]
 SUBMODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")

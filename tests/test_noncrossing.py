@@ -2,7 +2,7 @@
 
 import pytest
 
-from _fixtures import C_V2, C_V4, C_V6, Z_V2, Z_V4, Z_V6, seq, sub
+from _fixtures import C_V2, C_V4, C_V6, Z_V2, Z_V4, Z_V6, embed, seq, sub
 from catspan.counting import catalan, narayana
 from catspan.gf2 import Subspace, form_masks, is_isotropic, mask_to_string, odd_support, span_masks
 from catspan.noncrossing import (
@@ -20,7 +20,6 @@ from catspan.noncrossing import (
     span_arcs,
     to_lagrangian,
 )
-from catspan.slots import embed
 
 
 def test_arc_basics():

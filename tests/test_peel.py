@@ -10,12 +10,12 @@ span of the paper's rows, and neither direction may reduce rows at all.
 
 import pytest
 
-from _fixtures import isotropic
+from _fixtures import embed, isotropic
 from catspan.families import build_families, level_down, level_up
 from catspan.gf2 import Subspace, span_masks
 from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs, to_lagrangian
 from catspan.oracle import all_subspaces
-from catspan.slots import COLLECTION, F0, F1, embed, peel, replay
+from catspan.slots import COLLECTION, F0, F1, peel, replay
 
 
 def paper_rows(rule, i, rows):

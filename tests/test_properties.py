@@ -13,6 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from _fixtures import embed  # noqa: E402
 from catspan.families import level_down, level_up  # noqa: E402
 from catspan.gf2 import span_masks  # noqa: E402
 from catspan.noncrossing import (  # noqa: E402
@@ -24,7 +25,7 @@ from catspan.noncrossing import (  # noqa: E402
     span_arcs,
     to_lagrangian,
 )
-from catspan.slots import COLLECTION, F0, F1, embed, peel  # noqa: E402
+from catspan.slots import COLLECTION, F0, F1, peel  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 

@@ -10,9 +10,10 @@ from itertools import product
 
 import pytest
 
+from _fixtures import lines_in
 from catspan.conjecture import MatchResult, SuppliedFamily
 from catspan.counting import CountRow
-from catspan.families import FamilyTable, Line, lines_in
+from catspan.families import FamilyTable, Line
 from catspan.gf2 import Subspace, span_masks
 from catspan.noncrossing import Arc, ArcSequence, OddCollection, odd_arcs
 from catspan.oracle import OracleBudget, cells
