@@ -67,13 +67,24 @@ def load_family(path: str | Path) -> SuppliedFamily:
     return SuppliedFamily(d, tuple(sorted(members, key=subspace_key)))
 
 
+def _vector_set(E: Subspace) -> int:
+    """The 2^dim vectors of E as one mask of 2^n bits, bit v for vector v."""
+    vs = [0]
+    for r in E.rows:
+        vs += [v ^ r for v in vs]
+    return sum(1 << v for v in vs)
+
+
 def fingerprint(subgroups) -> tuple:
-    """GL-invariant signature: dimension multiset plus containment profile."""
+    """GL-invariant signature: dimension multiset plus containment profile,
+    B containing A read off their vector sets as a & b == a."""
     ms = list(subgroups)
+    for E in ms:
+        if E.n != ms[0].n:
+            raise ValueError(f"dimension mismatch: {ms[0].n} vs {E.n}")
+    sets = [(E.dim, _vector_set(E)) for E in ms]
     dims = tuple(sorted(E.dim for E in ms))
-    profile = tuple(
-        sorted((A.dim, sum(1 for B in ms if B != A and B.contains_subspace(A))) for A in ms)
-    )
+    profile = tuple(sorted((k, sum(1 for _, b in sets if a & b == a and a != b)) for k, a in sets))
     return (dims, profile)
 
 
@@ -128,8 +139,9 @@ def gl_match(fam: SuppliedFamily) -> MatchResult:
         nonlocal tried
         if r == d:
             tried += 1
-            mapped = {span_masks((_apply(rows, m) for m in A.rows), d) for A in fam_set}
-            if mapped == target:
+            # the map is injective and the sizes agree, so the images are the
+            # target exactly when none of them misses it; all() stops at the first miss
+            if all(span_masks((_apply(rows, m) for m in A.rows), d) in target for A in fam_set):
                 return list(rows)
             return None
         for v in range(1, 1 << d):

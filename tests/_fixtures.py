@@ -8,7 +8,9 @@ the builders is an honest element-for-element comparison.
 
 embed is the slot embedding one mask at a time, the reference for the rows
 that slots.Rule.step writes inline; lines_in lists a subspace's lines by
-row reduction, the half of classify_by_span that classify_by_lines skips.
+row reduction, the half of classify_by_span that classify_by_lines skips;
+fingerprint_by_containment is the matcher's fingerprint by pairwise
+contains_subspace tests, the reference for its vector-set masks.
 """
 
 from functools import lru_cache
@@ -60,6 +62,17 @@ def classify_by_span(E):
     if len(marked) == 1:
         return ("f1", marked[0])
     return ("other", None)
+
+
+def fingerprint_by_containment(subgroups):
+    """conjecture.fingerprint by N^2 contains_subspace calls, which raise on a
+    mixed-dimension list."""
+    ms = list(subgroups)
+    dims = tuple(sorted(E.dim for E in ms))
+    profile = tuple(
+        sorted((A.dim, sum(1 for B in ms if B != A and B.contains_subspace(A))) for A in ms)
+    )
+    return (dims, profile)
 
 
 def sub(n, *vectors):

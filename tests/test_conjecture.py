@@ -5,7 +5,9 @@ import json
 import random
 
 import pytest
+from _fixtures import fingerprint_by_containment
 
+from catspan import conjecture
 from catspan.conjecture import (
     MAX_RANK,
     SuppliedFamily,
@@ -15,7 +17,7 @@ from catspan.conjecture import (
     load_family,
 )
 from catspan.counting import catalan
-from catspan.gf2 import mask_to_string, span_masks, subspace_key
+from catspan.gf2 import Subspace, mask_to_string, span_masks, subspace_key
 from catspan.oracle import all_subspaces
 
 
@@ -237,3 +239,134 @@ def test_load_family_validation(tmp_path):
         load_family(write({"d": 2, "subgroups": [["10"], ["10"]]}))
     with pytest.raises(ValueError):
         load_family(write({"d": 2, "subgroups": [["10", "01"], ["01", "11"]]}))
+
+
+def seeded_translates(d, seed, count=10):
+    rng = random.Random(seed)
+    plain = collection_as_plain(d)
+    return [translate(random_invertible(rng, d), plain, d) for _ in range(count)]
+
+
+def altered_families(seed, count=10):
+    """Rank-5 translates with one proper member swapped for a subspace of the
+    same dimension outside the family, every fifth one dropped instead."""
+    d = 5
+    rng = random.Random(seed)
+    plain = collection_as_plain(d)
+    spaces = sorted(all_subspaces(d), key=subspace_key)
+    out = []
+    for k in range(count):
+        moved = sorted(translate(random_invertible(rng, d), plain, d), key=subspace_key)
+        j = rng.randrange(1, len(moved) - 1)
+        if k % 5 == 4:
+            del moved[j]
+        else:
+            moved[j] = rng.choice([S for S in spaces if S.dim == moved[j].dim and S not in moved])
+        out.append(moved)
+    return out
+
+
+def test_fingerprint_equals_containment_reference():
+    spaces = all_subspaces(3)
+    for size in range(4):
+        for fam in itertools.product(spaces, repeat=size):
+            assert fingerprint(fam) == fingerprint_by_containment(fam), fam
+    rng = random.Random(25)
+    for d in (4, 5):
+        spaces = all_subspaces(d)
+        for _ in range(40):
+            fam = rng.choices(spaces, k=rng.randrange(1, 30))
+            fam += rng.choices(fam, k=rng.randrange(1, 6))
+            assert fingerprint(fam) == fingerprint_by_containment(fam)
+    for d in range(1, 6):
+        for moved in seeded_translates(d, 300 + d, 3):
+            assert fingerprint(moved) == fingerprint_by_containment(moved)
+    for fam in altered_families(305, 5):
+        assert fingerprint(fam) == fingerprint_by_containment(fam)
+
+
+def test_fingerprint_mixed_dimensions_raise_the_same_error():
+    cases = [
+        [span_masks([1], 3), span_masks([1], 4)],
+        [span_masks([], 2), span_masks([1], 2), span_masks([3], 4), span_masks([], 5)],
+        [span_masks([1, 2], 4), span_masks([1, 2], 4), span_masks([1], 3)],
+    ]
+    for fam in cases:
+        with pytest.raises(ValueError) as want:
+            fingerprint_by_containment(fam)
+        with pytest.raises(ValueError) as got:
+            fingerprint(fam)
+        assert str(got.value) == str(want.value)
+
+
+def test_fingerprint_makes_no_containment_call(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("contains_subspace called")
+
+    monkeypatch.setattr(Subspace, "contains_subspace", refuse)
+    plain = collection_as_plain(5)
+    assert fingerprint(plain)[0] == tuple(sorted(E.dim for E in plain))
+    with pytest.raises(ValueError, match="dimension mismatch: 5 vs 4"):
+        fingerprint([span_masks([1], 5), span_masks([1], 4)])
+
+
+# (found, witness, tried, reason) of gl_match, recorded from the matcher that
+# built every leaf's whole image set before comparing it with the target
+PINNED_TRANSLATES = {
+    3: [
+        (True, (2, 1, 5), 2, None), (True, (2, 1, 5), 2, None), (True, (1, 5, 6), 4, None),
+        (True, (2, 1, 5), 2, None), (True, (1, 2, 4), 1, None), (True, (1, 5, 6), 4, None),
+        (True, (1, 2, 7), 2, None), (True, (1, 2, 7), 2, None), (True, (4, 1, 6), 1, None),
+        (True, (2, 6, 5), 4, None),
+    ],
+    4: [
+        (True, (1, 10, 4, 12), 10, None), (True, (6, 10, 5, 8), 9, None),
+        (True, (1, 6, 15, 11), 12, None), (True, (5, 11, 4, 9), 15, None),
+        (True, (1, 2, 14, 4), 5, None), (True, (4, 3, 5, 8), 7, None),
+        (True, (1, 9, 4, 15), 4, None), (True, (2, 1, 15, 5), 5, None),
+        (True, (3, 11, 2, 14), 8, None), (True, (4, 8, 2, 13), 1, None),
+    ],
+    5: [
+        (True, (2, 6, 11, 26, 25), 36, None), (True, (10, 7, 9, 2, 25), 49, None),
+        (True, (2, 10, 1, 25, 21), 30, None), (True, (10, 4, 23, 28, 13), 47, None),
+        (True, (3, 8, 20, 6, 30), 8, None), (True, (5, 16, 4, 23, 26), 34, None),
+        (True, (5, 13, 18, 30, 20), 42, None), (True, (1, 14, 6, 31, 19), 60, None),
+        (True, (1, 4, 12, 7, 22), 2, None), (True, (7, 8, 18, 9, 31), 4, None),
+    ],
+}
+
+PINNED_ALTERED = [(False, None, 0, "fingerprint mismatch")] * 4 + [(False, None, 0, "size 131 != 132")]
+PINNED_ALTERED *= 2
+
+
+def test_pinned_translate_matches():
+    for d, want in PINNED_TRANSLATES.items():
+        plain = collection_as_plain(d)
+        for moved, pinned in zip(seeded_translates(d, 100 + d), want, strict=True):
+            res = gl_match(family_of(moved, d))
+            assert tuple(res) == pinned
+            assert translate(res.witness, moved, d) == plain
+
+
+def test_pinned_altered_mismatches():
+    for fam, pinned in zip(altered_families(205), PINNED_ALTERED, strict=True):
+        assert tuple(gl_match(family_of(fam, 5))) == pinned
+
+
+def test_found_match_stops_leaves_at_the_first_miss(monkeypatch):
+    # the leaves are gl_match's only span_masks calls once the target is fixed
+    plain = collection_as_plain(5)
+    moved = translate([0b01011, 0b11111, 0b00101, 0b01101, 0b10101], plain, 5)
+    calls = 0
+
+    def counting(masks, n):
+        nonlocal calls
+        calls += 1
+        return span_masks(masks, n)
+
+    monkeypatch.setattr(conjecture, "collection_as_plain", lambda d: plain)
+    monkeypatch.setattr(conjecture, "span_masks", counting)
+    res = gl_match(family_of(moved, 5))
+    assert res.found and res.tried == 8
+    # the found leaf maps every member, each of the seven before it stops early
+    assert len(moved) + 7 <= calls < len(moved) * res.tried
