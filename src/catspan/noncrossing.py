@@ -14,9 +14,8 @@ even-index part; its inverse is the projection onto the odd-index part.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, NamedTuple
+from itertools import chain, combinations, groupby
+from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import Run, Subspace, check_even, odd_support, span_masks, subspace_key
 from .slots import COLLECTION, F0, members, peel, replay
@@ -44,14 +43,10 @@ class Arc(Run):
         return ((1 << (self.b - self.a + 2)) - 1) // 3 << (self.a - 1)
 
 
-def _pair_ok(x: Arc, y: Arc) -> bool:
-    # disjoint intervals, or strictly nested either way round
-    return x.b < y.a or y.b < x.a or x.a < y.a and y.b < x.b or y.a < x.a and x.b < y.b
-
-
 def is_noncrossing(arcs: Iterable[Arc]) -> bool:
-    """Pairwise disjoint-or-strictly-nested; duplicates count as crossing."""
-    return all(_pair_ok(x, y) for x, y in combinations(arcs, 2))
+    """Pairwise disjoint or strictly nested, either way round; duplicates count as crossing."""
+    return all(x.b < y.a or y.b < x.a or x.a < y.a and y.b < x.b or y.a < x.a and x.b < y.b
+               for x, y in combinations(arcs, 2))
 
 
 class _Arcs(NamedTuple):
@@ -117,26 +112,32 @@ def odd_arcs(n: int) -> list[Arc]:
     return [Arc(a, b) for a in range(1, n, 2) for b in range(a, n, 2)]
 
 
-@lru_cache(maxsize=None)
-def enumerate_noncrossing(n: int) -> tuple[ArcSequence, ...]:
-    """All noncrossing arc sets over odd indices in [1, n-1], canonically sorted."""
+def enumerate_noncrossing(n: int) -> Iterator[ArcSequence]:
+    """All noncrossing arc sets over odd indices in [1, n-1], streamed in canonical order.
+
+    seq_key orders by grade, then by the sorted (a, b) pairs.  So grades s = 0..n/2 come in
+    turn, each picking arcs in (a, b) order after the last: two sets first differ where the
+    walk branched, and it took the smaller arc first (Knuth, TAOCP 4A, 7.2.1.6).  An arc
+    starts past the last start and at no open end, and ends inside the innermost open arc.
+    """
     check_even(n)
-    arcs = odd_arcs(n)
-    out: list[ArcSequence] = []
-    chosen: list[Arc] = []
+    rows = [list(g) for _, g in groupby(odd_arcs(n), lambda x: x.a)]  # rows[i]: the arcs from 2i + 1
 
-    def grow(start: int) -> None:
-        out.append(ArcSequence(tuple(chosen)))
-        for j in range(start, len(arcs)):
-            c = arcs[j]
-            if all(_pair_ok(c, x) for x in chosen):
-                chosen.append(c)
-                grow(j + 1)
-                chosen.pop()
+    def grow(s: int, chosen: tuple[Arc, ...], i: int, ends: tuple[int, ...]) -> Iterator[ArcSequence]:
+        # ends: n + 1, then the ends b of the chosen arcs, innermost last; those below 2i + 1 are closed
+        if len(chosen) == s:
+            yield ArcSequence(chosen)
+            return
+        for i in range(i, len(rows)):
+            p = 2 * i + 1
+            while ends[-1] < p:
+                ends = ends[:-1]
+            if len(rows) - i - len(ends) + 1 < s - len(chosen):
+                return  # each arc to go needs its own start from p on, at no open end
+            for x in rows[i][: (ends[-1] - p) // 2]:  # none if p ends an open arc
+                yield from grow(s, chosen + (x,), i + 1, ends + (x.b,))
 
-    grow(0)
-    out.sort(key=seq_key)
-    return tuple(out)
+    return chain.from_iterable(grow(s, (), 0, (n + 1,)) for s in range(n // 2 + 1))
 
 
 def shift_arc(i: int, arc: Arc, n: int) -> Arc:

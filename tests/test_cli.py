@@ -15,7 +15,7 @@ from catspan.conjecture import collection_as_plain
 from catspan.counting import verify_counts
 from catspan.families import build_families
 from catspan.gf2 import mask_to_string, subspace_key
-from catspan.noncrossing import build_collection, enumerate_noncrossing
+from catspan.noncrossing import build_collection, enumerate_noncrossing, seq_key
 from catspan.oracle import BUDGET_VARS
 
 # digests of the benchmark's outputs, pinned by the perfbench harness
@@ -107,9 +107,9 @@ def test_enumerate_deterministic(capsys):
 
 
 def reference_members(kind, n):
-    """One table built the slow way: the whole table, sorted by subspace_key, then to_json each."""
+    """One table built the slow way: the whole table, sorted by seq_key or subspace_key, then to_json each."""
     if kind == "arcs":
-        return [seq.to_json() for seq in enumerate_noncrossing(n)]
+        return [seq.to_json() for seq in sorted(enumerate_noncrossing(n), key=seq_key)]
     if kind == "collection":
         table = build_collection(n).members
     else:

@@ -1,5 +1,7 @@
 """Noncrossing arc sets, slot shifts, and the odd-part collection."""
 
+import tracemalloc
+
 import pytest
 
 from _fixtures import C_V2, C_V4, C_V6, Z_V2, Z_V4, Z_V6, embed, seq, sub
@@ -75,8 +77,8 @@ def test_enumeration_matches_reference_lists():
 
 
 def test_enumeration_counts_and_grades():
-    for D in range(2, 13, 2):
-        seqs = enumerate_noncrossing(D)
+    for D in range(2, 17, 2):
+        seqs = list(enumerate_noncrossing(D))
         d = D // 2
         assert len(seqs) == catalan(d + 1)
         assert len(set(seqs)) == len(seqs)
@@ -85,6 +87,18 @@ def test_enumeration_counts_and_grades():
             assert sum(1 for x in seqs if len(x) == s) == narayana(d + 1, s + 1)
     with pytest.raises(ValueError):
         enumerate_noncrossing(5)
+
+
+def test_the_arc_sets_stream_without_a_table():
+    # all Cat_10 = 16,796 sets of V_18 pass one at a time: no cache, no sorted copy
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_noncrossing(18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == catalan(10)
+    assert peak < 500_000, f"a full walk at D = 18 peaked at {peak} bytes traced"
 
 
 def test_shift_arc_rules():

@@ -8,6 +8,7 @@ catspan.counting), never a table builder, and runs the check at small D.
 
 import functools
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -177,7 +178,7 @@ def _walk_without_first(rule):
         (
             verify.check_arc_bijection,
             "enumerate_noncrossing",
-            lambda n: noncrossing.enumerate_noncrossing(n)[1:],
+            lambda n: islice(noncrossing.enumerate_noncrossing(n), 1, None),
             "[]",
         ),
         (
