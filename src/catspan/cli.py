@@ -6,21 +6,14 @@ import argparse
 import json
 import re
 import sys
-from itertools import chain, starmap
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .families import level_down, level_up
 from .gf2 import Subspace
-from .noncrossing import (
-    ArcSequence,
-    arcs_of,
-    decompose,
-    enumerate_noncrossing,
-    from_lagrangian,
-    span_arcs,
-    to_lagrangian,
-)
-from .slots import COLLECTION, F0, F1, members
+from .noncrossing import (ArcSequence, arcs_of, decompose, enumerate_noncrossing, from_lagrangian, span_arcs,
+                          to_lagrangian)
+from .slots import COLLECTION, F0, F1, packed
 
 SUBSPACE_KINDS = ("f0", "f1", "lagrangian", "collection")
 # map ops that take a subspace; span-arcs and decompose take an arc set
@@ -73,25 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _joined(n: int, rows: tuple[int, ...]) -> str:
-    """A subspace's basis strings joined by one format call: row j at bit n * j, under a sentinel."""
-    packed = 0
-    for r in reversed(rows):
-        packed = packed << n | r
-    return format(packed | 1 << n * len(rows), "b")[:0:-1]
-
-
 def _members(kind: str, n: int) -> Iterable[Sequence]:
-    """One level in canonical order, each member rendered once to its parts, whose
-    number is its grade: an arc set's (a, b) pairs or a subspace's basis strings.
-    Joined basis strings of one length n * grade sort as subspace_key, which sorts by
-    grade first; a start m of f0, f1 or lagrangian is one grade, the collection's is not."""
+    """One level in canonical order, each member rendered once to its parts, whose number is
+    its grade: an arc set's (a, b) pairs or a subspace's basis strings, joined by one format
+    call on its packed word.  Joined strings of one length n * grade sort as subspace_key, grade
+    first; a start m of f0, f1 or lagrangian is one grade, the collection's is not."""
     if kind == "arcs":
         return (seq.arcs for seq in enumerate_noncrossing(n))
     rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
     key = (lambda s: (len(s), s)) if kind == "collection" else None
-    walks = (sorted(starmap(_joined, members(rule, n, m)), key=key) for m in starts)
+    walks = (sorted((format(P | 1 << n * pivots.bit_count(), "b")[:0:-1] for P, pivots, _, _
+                     in packed(rule, None, n, m)), key=key) for m in starts)
     return map(re.compile(f".{{{n}}}").findall, chain.from_iterable(walks))
 
 

@@ -12,17 +12,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .noncrossing import enumerate_noncrossing
-from .slots import COLLECTION, F0, F1, Rule, members
+from .slots import COLLECTION, F0, F1, Rule, packed
 
-__all__ = [
-    "catalan",
-    "narayana",
-    "gaussian_binomial",
-    "CountRow",
-    "grades",
-    "verify_counts",
-    "count_rows",
-]
+__all__ = ["catalan", "narayana", "gaussian_binomial", "CountRow", "grades", "verify_counts", "count_rows"]
 
 
 def catalan(n: int) -> int:
@@ -68,9 +60,9 @@ class CountRow(NamedTuple):
 
 @lru_cache(maxsize=None)
 def grades(rule: Rule, D: int) -> tuple[int, ...]:
-    """Members of the level in V_D per dimension 0..D, from one walk; cached at
-    D + 1 integers, so the count rows and verify's surjectivity share it."""
-    tally = Counter(E.dim for E in members(rule, D))
+    """Members of the level in V_D per dimension 0..D, one per pivot, from one packed
+    walk; cached at D + 1 integers, so the count rows and verify's surjectivity share it."""
+    tally = Counter(pivots.bit_count() for _, pivots, _, _ in packed(rule, None, D))
     return tuple(tally[k] for k in range(D + 1))
 
 

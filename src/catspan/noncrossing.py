@@ -118,7 +118,8 @@ def enumerate_noncrossing(n: int) -> Iterator[ArcSequence]:
     seq_key orders by grade, then by the sorted (a, b) pairs.  So grades s = 0..n/2 come in
     turn, each picking arcs in (a, b) order after the last: two sets first differ where the
     walk branched, and it took the smaller arc first (Knuth, TAOCP 4A, 7.2.1.6).  An arc
-    starts past the last start and at no open end, and ends inside the innermost open arc.
+    starts past the last start and at no open end, and ends inside the innermost open arc,
+    so each set comes out sorted and noncrossing and skips ArcSequence's checks.
     """
     check_even(n)
     rows = [list(g) for _, g in groupby(odd_arcs(n), lambda x: x.a)]  # rows[i]: the arcs from 2i + 1
@@ -126,7 +127,7 @@ def enumerate_noncrossing(n: int) -> Iterator[ArcSequence]:
     def grow(s: int, chosen: tuple[Arc, ...], i: int, ends: tuple[int, ...]) -> Iterator[ArcSequence]:
         # ends: n + 1, then the ends b of the chosen arcs, innermost last; those below 2i + 1 are closed
         if len(chosen) == s:
-            yield ArcSequence(chosen)
+            yield tuple.__new__(ArcSequence, (chosen,))  # sorted and noncrossing as built: unchecked
             return
         for i in range(i, len(rows)):
             p = 2 * i + 1

@@ -47,7 +47,16 @@ Lockstep.  As C's canonical parent is P, peel(step(i, P)) = [i] + peel(P).
 So level_down(F1.step(i, P)) == F0.step(i, level_down(P)): the f1 walk from
 the base of V_m and the f0 walk from the zero of V_m take the same slots, as
 do the collection walk and its Lagrangian images from the zero of V_0, and
-pairs() carries the image down the walk, one step a member.
+packed() carries the image down the walk, one step a member.
+
+Packed words.  packed() holds a member of V_m as one int, row j of its canonical
+rows at bit n * j for the V_n it walks to (m <= n, so each row fits its n bits),
+and a mask of its pivots, the rows' lowest bits: the popcount is the dimension,
+and the pivots below e_i count the rows that e_i goes after.  packed_step applies
+fan 0b101 to every row at once, in a fixed number of int operations whatever the
+dimension (Knuth, TAOCP 4A, 7.1.3).  A child's first slot is its own slot (see
+above), so each stack entry carries the top slot of its children and first_slot
+runs only at the roots.  members() and pairs() unpack each member once.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .gf2 import Subspace, check_even, odd_support
 
-__all__ = ["Rule", "F0", "F1", "COLLECTION", "layer", "members", "pairs", "replay", "first_slot", "peel"]
+__all__ = ["Rule", "F0", "F1", "COLLECTION", "layer", "packed", "members", "pairs", "replay", "first_slot", "peel"]
 
 T = TypeVar("T")
 
@@ -78,31 +87,49 @@ class Rule(NamedTuple):
             raise ValueError("level 1 has no member in V_0")
         return Subspace._make((n, ((1 << n) - 1,) if self.full_base else ()))
 
-    def step(self, i: int, P: Subspace, n: int) -> Subspace:
-        """embed_i(P) + <e_i> in canonical RREF, from the canonical rows of P.
+    def packed_step(self, i: int, P: int, pivots: int, n: int) -> tuple[int, int]:
+        """embed_i(P) + <e_i> in canonical RREF, on P's rows packed at stride n
+        (row j at bit n * j) with their pivots ORed in one mask.
 
-        Each row takes fan 0b101 inline (e_i absorbs 0b111's middle bit): x_1..x_{i-1}
-        stay, x_{i-1} is copied to x_{i+1} and the rest shift up two.  That keeps
-        the pivots in order, and e_i goes in after the rows with a bit in x_1..x_{i-1},
-        a prefix of the rows."""
+        Fan 0b101 acts on every row at once (e_i absorbs 0b111's middle bit), rep
+        holding bit n * j of each row: x_1..x_{i-1} stay, x_{i-1} is copied to
+        x_{i+1} and the rest shift up two.  That keeps the pivots in order, and
+        e_i goes in after the rows with a pivot in x_1..x_{i-1}, a prefix of the rows."""
         unit, low = 1 << (i - 1), (1 << (i - 1)) - 1
-        rows = [r & low | r << 2 & unit << 1 | r >> (i - 1) << (i + 1) for r in P.rows]
+        rep = ((1 << n * pivots.bit_count()) - 1) // ((1 << n) - 1)
+        lo, below = P & low * rep, pivots & low
+        P, pivots = lo | P << 2 & (unit << 1) * rep | (P ^ lo) << 2, below | (pivots ^ below) << 2
         if not self.odd_only or i % 2:
-            k = 0
-            while k < len(rows) and rows[k] & low:
-                k += 1
-            rows.insert(k, unit)
-        return Subspace._make((n, tuple(rows)))
+            t = n * below.bit_count()
+            P, pivots = P & (1 << t) - 1 | unit << t | P >> t << t + n, pivots | unit
+        return P, pivots
+
+    def step(self, i: int, P: Subspace, n: int) -> Subspace:
+        """packed_step on P's canonical rows, packed at stride n and unpacked in V_n."""
+        return _unpack(*self.packed_step(i, *_pack(P.rows, n), n), n)
 
     def build(self, slots: list[int], n: int) -> Subspace:
         """The member of V_n that the slots (top first) build from the base."""
-        m = n - 2 * len(slots)
-        return replay(slots, self.base(m), m, self.step)
+        P, pivots = _pack(self.base(n - 2 * len(slots)).rows, n)
+        for i in reversed(slots):
+            P, pivots = self.packed_step(i, P, pivots, n)
+        return _unpack(P, pivots, n)
 
 
 F0 = Rule(False, False)
 F1 = Rule(True, False)
 COLLECTION = Rule(False, True)
+
+
+def _pack(rows: tuple[int, ...], n: int) -> tuple[int, int]:
+    """Rows packed at stride n, row j at bit n * j, and their pivots (lowest bits) ORed."""
+    return sum(r << n * j for j, r in enumerate(rows)), sum(r & -r for r in rows)
+
+
+def _unpack(P: int, pivots: int, n: int) -> Subspace:
+    """The member of V_n whose rows P packs at stride n, one row per pivot."""
+    full = (1 << n) - 1
+    return Subspace._make((n, tuple([P >> n * j & full for j in range(pivots.bit_count())])))
 
 
 def layer(step: Callable[[int, T, int], T], n: int, below: Iterable[T], base: T) -> set[T]:
@@ -114,30 +141,42 @@ def layer(step: Callable[[int, T, int], T], n: int, below: Iterable[T], base: T)
     return out
 
 
+def packed(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
+    """(P, pivots, Q, qpivots) for each member of the level in V_n, each once, packed
+    at stride n: a depth-first walk over canonical parents from the roots.  Q and
+    qpivots pack the member of image that the same slots build from image's base,
+    one step a member (see Lockstep above), or are None with image None.  With a
+    start m, only the tree under the base of V_m if it is a root."""
+    check_even(n)
+    none, step, istep = (None, None), rule.packed_step, image and image.packed_step
+    # (m, top, P, pivots, Q, qpivots): a node of V_m whose children take slots 1..top, every slot at a root
+    stack = [(m, m + 2, *_pack(B.rows, n), *(_pack(image.base(m).rows, n) if image else none))
+             for m in range(2 * rule.full_base, n + 1, 2)
+             if start in (None, m) and first_slot(B := rule.base(m), rule) is None]
+    while stack:
+        m, top, P, pivots, Q, qpivots = stack.pop()
+        if m == n:  # a root of V_n
+            yield P, pivots, Q, qpivots
+        elif m + 2 < n:  # the child at slot i has first slot i: its children take slots 1..i + 1
+            stack.extend((m + 2, i + 1, *step(i, P, pivots, n), *(istep(i, Q, qpivots, n) if image else none))
+                         for i in range(1, top + 1))
+        else:  # leaves, in the order the stack would pop them: the highest slot first
+            for i in range(top, 0, -1):
+                yield (*step(i, P, pivots, n), *(istep(i, Q, qpivots, n) if image else none))
+
+
 def members(rule: Rule, n: int, start: int | None = None) -> Iterator[Subspace]:
-    """Every member of the level in V_n, each once: a depth-first walk over
-    canonical parents from the roots (see the module docstring).  With a
+    """Every member of the level in V_n, each once, in packed's order.  With a
     start m, only the tree under the base of V_m if it is a root: at levels 0
     and 1, where every slot adjoins e_i, the one grade (n - m)/2 + full_base."""
-    return (E for E, _ in pairs(rule, None, n, start))
+    return (_unpack(P, pivots, n) for P, pivots, _, _ in packed(rule, None, n, start))
 
 
 def pairs(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
-    """(E, the member of image that E's slots build from image's base) for each
-    E of members(rule, n, start), in its order: image steps with rule's slots
-    down the one walk (see Lockstep above).  With image None, the image is None."""
-    check_even(n)
-    starts = (m for m in range(2 * rule.full_base, n + 1, 2) if start in (None, m))
-    stack = [(B, image and image.base(B.n)) for B in map(rule.base, starts) if first_slot(B, rule) is None]
-    while stack:
-        P, Q = stack.pop()
-        if P.n == n:
-            yield P, Q
-            continue
-        f = first_slot(P, rule)
-        m = P.n + 2
-        top = m if f is None else f + 1
-        stack.extend((rule.step(i, P, m), image and image.step(i, Q, m)) for i in range(1, top + 1))
+    """(E, the member of image that E's slots build from image's base) for each E of
+    members(rule, n, start), in its order; the image is None with image None."""
+    return ((_unpack(P, pivots, n), image and _unpack(Q, qpivots, n))
+            for P, pivots, Q, qpivots in packed(rule, image, n, start))
 
 
 def replay(slots: list[int], x: T, n: int, step: Callable[[int, T, int], T]) -> T:
@@ -148,19 +187,20 @@ def replay(slots: list[int], x: T, n: int, step: Callable[[int, T, int], T]) -> 
     return x
 
 
-def first_slot(E: Subspace, rule: Rule) -> int | None:
+def first_slot(E: Subspace | tuple, rule: Rule) -> int | None:
     """The first slot i with E = embed_i(P) + <e_i>, the one the peel takes:
     every row has x_{i-1} = x_{i+1}, and e_i is in E unless slot i adjoins
     nothing.  In canonical RREF, e_i is in E exactly when it is a row.  None
-    when no slot fits, as at a root."""
+    when no slot fits, as at a root.  E is a Subspace or its bare (n, rows)."""
+    n, rows = E
     # bit i-1 of ragged is set when some row has x_{i-1} != x_{i+1}
     ragged = units = 0
-    for r in E.rows:
+    for r in rows:
         ragged |= (r << 1) ^ (r >> 1)
         if not r & (r - 1):
             units |= r
     if rule.odd_only:
-        units |= odd_support(E.n) << 1  # even slots adjoin nothing
+        units |= odd_support(n) << 1  # even slots adjoin nothing
     fits = units & ~ragged
     return (fits & -fits).bit_length() or None
 
@@ -172,17 +212,17 @@ def peel(E: Subspace, rule: Rule) -> list[int] | None:
     coordinates i and i+1 from the other rows, which gives P in canonical
     RREF: first_slot requires e_i as a row, so no other row has x_i; no row
     has its pivot at e_{i+1}, since the ragged test gives it x_{i-1} too;
-    and under odd support no row has an even x_i at all.  The peel runs
-    until no slot fits and returns None unless it ends at a root.
+    and under odd support no row has an even x_i at all.  The peel runs on
+    the bare rows until no slot fits and returns None unless it ends at a root.
     """
-    n = E.n
+    n, rows = E
     check_even(n)
-    if rule.odd_only and any(r & ~odd_support(n) for r in E.rows):
+    if rule.odd_only and any(r & ~odd_support(n) for r in rows):
         return None
     slots = []
-    while (i := first_slot(E, rule)) is not None:
+    while (i := first_slot((n, rows), rule)) is not None:
         unit, low = 1 << (i - 1), (1 << (i - 1)) - 1
         n -= 2
-        E = Subspace._make((n, tuple(r & low | r >> (i + 1) << (i - 1) for r in E.rows if r != unit)))
+        rows = tuple([r & low | r >> (i + 1) << (i - 1) for r in rows if r != unit])
         slots.append(i)
-    return slots if len(E.rows) == rule.full_base and E == rule.base(n) else None
+    return slots if len(rows) == rule.full_base and rows == rule.base(n).rows else None

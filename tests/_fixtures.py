@@ -7,7 +7,11 @@ not in reduced form; span_masks() canonicalizes, so set equality against
 the builders is an honest element-for-element comparison.
 
 embed is the slot embedding one mask at a time, the reference for the rows
-that slots.Rule.step writes inline; lines_in lists a subspace's lines by
+that slots.Rule.packed_step writes on one packed word; row_step is that step
+one row at a time, and stack_pairs the walk over Subspaces that calls
+first_slot at every node, the references for slots.packed and its order;
+joined is one subspace's basis strings from its rows, the reference for the
+leaf strings that export renders; lines_in lists a subspace's lines by
 row reduction, the half of classify_by_span that classify_by_lines skips;
 fingerprint_by_containment is the matcher's fingerprint by pairwise
 contains_subspace tests, the reference for its vector-set masks.
@@ -16,9 +20,10 @@ contains_subspace tests, the reference for its vector-set masks.
 from functools import lru_cache
 
 from catspan.families import Line
-from catspan.gf2 import span_masks
+from catspan.gf2 import Subspace, check_even, span_masks
 from catspan.noncrossing import Arc, ArcSequence
 from catspan.oracle import all_isotropic
+from catspan.slots import first_slot
 
 
 @lru_cache(maxsize=None)
@@ -36,6 +41,49 @@ def embed(i, m, fan):
     if (m >> (i - 2)) & 1:
         out |= fan << (i - 2)
     return out
+
+
+def row_step(rule, i, P, n):
+    """rule.step(i, P, n) one row at a time: each row takes fan 0b101 inline, and e_i
+    goes in after the rows with a bit in x_1..x_{i-1}, a prefix of the rows."""
+    unit, low = 1 << (i - 1), (1 << (i - 1)) - 1
+    rows = [r & low | r << 2 & unit << 1 | r >> (i - 1) << (i + 1) for r in P.rows]
+    if not rule.odd_only or i % 2:
+        k = 0
+        while k < len(rows) and rows[k] & low:
+            k += 1
+        rows.insert(k, unit)
+    return Subspace._make((n, tuple(rows)))
+
+
+def stack_pairs(rule, image, n, start=None):
+    """slots.pairs as a stack of Subspaces: row_step for every step, and first_slot
+    at every node for the slots its children take."""
+    check_even(n)
+    starts = (m for m in range(2 * rule.full_base, n + 1, 2) if start in (None, m))
+    stack = [(B, image and image.base(B.n)) for B in map(rule.base, starts) if first_slot(B, rule) is None]
+    while stack:
+        P, Q = stack.pop()
+        if P.n == n:
+            yield P, Q
+            continue
+        f = first_slot(P, rule)
+        m = P.n + 2
+        top = m if f is None else f + 1
+        stack.extend((row_step(rule, i, P, m), image and row_step(image, i, Q, m)) for i in range(1, top + 1))
+
+
+def pack(rows, n):
+    """Rows at stride n, row j at bit n * j, and the OR of their pivots (lowest bits)."""
+    return sum(r << n * j for j, r in enumerate(rows)), sum(r & -r for r in rows)
+
+
+def joined(n, rows):
+    """A subspace's basis strings joined by one format call: row j at bit n * j, under a sentinel."""
+    packed = 0
+    for r in reversed(rows):
+        packed = packed << n | r
+    return format(packed | 1 << n * len(rows), "b")[:0:-1]
 
 
 def lines_in(E):

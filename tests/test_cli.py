@@ -492,26 +492,33 @@ def test_export_json_is_json_dump_at_indent_2(capsys, tmp_path):
 
 
 def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
-    # one _joined call per subspace member renders all its rows; no row goes through mask_to_string
+    # each member's rows come joined from one format call on its packed word: no row goes
+    # through mask_to_string, and no Subspace is built per member, only the bases of the walks
     calls = Counter()
-    joined, mask_to_string = cli._joined, gf2.mask_to_string
+    make, new, mask_to_string = gf2.Subspace._make, gf2.Subspace.__new__, gf2.mask_to_string
 
-    def counting_joined(n, rows):
-        calls["_joined"] += 1
-        return joined(n, rows)
+    def counting_make(cls, fields):
+        calls["Subspace"] += 1
+        return make(fields)
+
+    def counting_new(cls, *args):
+        calls["Subspace"] += 1
+        return new(cls, *args)
 
     def counting_mask_to_string(mask, n):
         calls["mask_to_string"] += 1
         return mask_to_string(mask, n)
 
-    monkeypatch.setattr(cli, "_joined", counting_joined)
+    monkeypatch.setattr(gf2.Subspace, "_make", classmethod(counting_make))
+    monkeypatch.setattr(gf2.Subspace, "__new__", counting_new)
     monkeypatch.setattr(gf2, "mask_to_string", counting_mask_to_string)
+    assert gf2.Subspace(2, (1,)) and gf2.span_masks([1], 2) and calls["Subspace"] == 2  # both paths counted
+    calls.clear()
     code, _, _ = run(capsys, "export", "--D", "8", "--out", str(tmp_path / "out"))
     assert code == 0
-    joined_calls, string_calls = calls["_joined"], calls["mask_to_string"]
-    table = build_families(8)
-    assert string_calls == 0
-    assert joined_calls == len(table.f0) + len(table.f1) + len(build_collection(8).members)
+    assert calls["mask_to_string"] == 0
+    # at most the base of each V_0..V_8 per subspace table, read to find the roots
+    assert calls["Subspace"] <= 3 * (8 // 2 + 1)
 
 
 def test_usage_errors():

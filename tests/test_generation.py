@@ -15,14 +15,15 @@ import math
 from collections import Counter
 from itertools import chain
 
-from catspan import cli, conjecture, counting, families, noncrossing, verify
+from _fixtures import joined, pack, stack_pairs
+from catspan import cli, conjecture, counting, families, noncrossing, slots, verify
 from catspan.conjecture import SuppliedFamily
 from catspan.counting import catalan
 from catspan.families import FamilyTable, build_families
 from catspan.gf2 import Subspace, subspace_key
 from catspan.noncrossing import build_collection, to_lagrangian
 from catspan.oracle import all_subspaces
-from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, pairs, peel
+from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, packed, pairs, peel
 
 
 def first_slot_counts(start, D_max, every_base=True):
@@ -149,14 +150,15 @@ def command_outputs(out, capsys):
 
 def test_no_output_depends_on_the_walk_order(monkeypatch, capsys, tmp_path):
     walked = command_outputs(tmp_path / "walk", capsys)
-    for module in (verify, counting, cli, conjecture, families, noncrossing):
-        # forward the start, so that every walk is reversed, one start's too
-        monkeypatch.setattr(
-            module, "members", lambda rule, n, start=None: reversed(list(members(rule, n, start)))
-        )
-    monkeypatch.setattr(
-        verify, "pairs", lambda rule, image, n, start=None: reversed(list(pairs(rule, image, n, start)))
-    )
+    forward = list(members(F0, 8))
+
+    def backward(rule, image, n, start=None):  # forwards the start, so one start's walk is reversed too
+        return reversed(list(packed(rule, image, n, start)))
+
+    # members and pairs walk slots.packed, so every consumer's walk is reversed
+    for module in (slots, cli, counting):
+        monkeypatch.setattr(module, "packed", backward)
+    assert list(members(F0, 8)) == forward[::-1]
     assert command_outputs(tmp_path / "reversed", capsys) == walked
     counting.grades.cache_clear()
 
@@ -200,14 +202,44 @@ def test_export_walks_each_level_once(monkeypatch, capsys, tmp_path):
     # once; and no second walk for the counts
     walks = []
 
-    def recorded(rule, n, *start):
-        walks.append((rule, *start) if start else (rule, None))
-        return members(rule, n, *start)
+    def recorded(rule, image, n, start=None):
+        walks.append((rule, image, start))
+        return packed(rule, image, n, start)
 
-    for module in (cli, counting):
-        monkeypatch.setattr(module, "members", recorded)
+    for module in (slots, cli, counting):
+        monkeypatch.setattr(module, "packed", recorded)
     counting.grades.cache_clear()
     assert cli.main(["export", "--D", "8", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    grades = [(F0, m) for m in range(0, 9, 2)] + [(F1, m) for m in range(2, 9, 2)]
-    assert Counter(walks) == Counter(grades + [(COLLECTION, None)])
+    grades = [(F0, None, m) for m in range(0, 9, 2)] + [(F1, None, m) for m in range(2, 9, 2)]
+    assert Counter(walks) == Counter(grades + [(COLLECTION, None, None)])
+
+
+def test_the_packed_walk_keeps_the_stack_walk_order():
+    # against the walk over Subspaces that runs first_slot at every node and the row step
+    # for every step: the same members, images and pivot masks, in the same order
+    for D in range(0, 15, 2):
+        for rule, image in ((F0, None), (F1, None), (COLLECTION, None), (F1, F0), (COLLECTION, F0)):
+            for start in (None, *range(-2, D + 3)):
+                want = list(stack_pairs(rule, image, D, start))
+                assert list(pairs(rule, image, D, start)) == want, (D, rule, image, start)
+                assert list(members(rule, D, start)) == [E for E, _ in want], (D, rule, start)
+                words = [(*pack(E.rows, D), *(pack(Q.rows, D) if image else (None, None))) for E, Q in want]
+                assert list(packed(rule, image, D, start)) == words, (D, rule, image, start)
+
+
+def test_the_leaf_strings_are_the_joined_basis_strings():
+    # one format call on each packed word under its sentinel, for every rule and start; and
+    # export's members, each leaf string cut into rows, in canonical order
+    kinds = (("f0", F0, None), ("f1", F1, None), ("lagrangian", F0, 0), ("collection", COLLECTION, None))
+    for D in range(0, 15, 2):
+        for rule in (F0, F1, COLLECTION):
+            for start in (None, *range(0, D + 1, 2)):
+                words = packed(rule, None, D, start)
+                leaves = [format(P | 1 << D * pivots.bit_count(), "b")[:0:-1] for P, pivots, _, _ in words]
+                want = [joined(D, E.rows) for E, _ in stack_pairs(rule, None, D, start)]
+                assert leaves == want, (D, rule, start)
+        for kind, rule, start in kinds if D else ():
+            level = sorted((E for E, _ in stack_pairs(rule, None, D, start)), key=subspace_key)
+            rendered = ["".join(parts) for parts in cli._members(kind, D)]
+            assert rendered == [joined(D, E.rows) for E in level], (D, kind)

@@ -89,6 +89,15 @@ def test_enumeration_counts_and_grades():
         enumerate_noncrossing(5)
 
 
+def test_every_streamed_set_passes_the_public_checks():
+    # the walk yields each set unchecked; each must equal what the checking constructor
+    # builds from its arcs, sorted, distinct and noncrossing
+    for D in range(0, 15, 2):
+        for seq in enumerate_noncrossing(D):
+            assert type(seq) is ArcSequence and seq == ArcSequence(seq.arcs), (D, seq)
+            assert is_noncrossing(seq.arcs) and all(type(x) is Arc for x in seq.arcs), (D, seq)
+
+
 def test_the_arc_sets_stream_without_a_table():
     # all Cat_10 = 16,796 sets of V_18 pass one at a time: no cache, no sorted copy
     tracemalloc.start()

@@ -10,7 +10,7 @@ span of the paper's rows, and neither direction may reduce rows at all.
 
 import pytest
 
-from _fixtures import embed, isotropic
+from _fixtures import embed, isotropic, pack, row_step, stack_pairs
 from catspan.families import build_families, level_down, level_up
 from catspan.gf2 import Subspace, span_masks
 from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs, to_lagrangian
@@ -67,6 +67,23 @@ def test_step_equals_the_span_of_the_paper_rows():
                     assert E.rows == embed_step(rule, i, P.rows)
                     steps += 1
     assert steps == 62364
+
+
+def test_packed_step_equals_the_row_step():
+    # every slot on every member of each level below, packed at its own stride and at
+    # a wider one, as the walk packs a member of V_m at the stride of the V_n it ends in
+    steps = 0
+    for D in range(2, 13, 2):
+        for rule in (F0, F1, COLLECTION):
+            for P, _ in stack_pairs(rule, None, D - 2):
+                for i in range(1, D + 1):
+                    want = row_step(rule, i, P, D)
+                    assert rule.step(i, P, D) == want, (D, rule, P, i)
+                    for stride in (D, 14):
+                        got = rule.packed_step(i, *pack(P.rows, stride), stride)
+                        assert got == pack(want.rows, stride), (D, rule, P, i, stride)
+                    steps += 1
+    assert steps == 14316  # the sum over D of D * (C(D-1, D/2-1) + C(D-1, D/2-2) + Cat_{D/2})
 
 
 def test_slot_steps_never_reduce_rows(monkeypatch):
