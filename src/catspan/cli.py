@@ -72,7 +72,7 @@ def _members(kind: str, n: int) -> Iterable[Sequence]:
     call on its packed word.  Joined strings of one length n * grade sort as subspace_key, grade
     first; a start m of f0, f1 or lagrangian is one grade, the collection's is not."""
     if kind == "arcs":
-        return (seq.arcs for seq in enumerate_noncrossing(n))
+        return enumerate_noncrossing(n)
     rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
     key = (lambda s: (len(s), s)) if kind == "collection" else None

@@ -18,7 +18,7 @@ from itertools import chain, combinations, groupby
 from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import Run, Subspace, check_even, odd_support, span_masks, subspace_key
-from .slots import COLLECTION, F0, members, peel, replay
+from .slots import COLLECTION, F0, members, peel
 
 __all__ = [
     "Arc", "ArcSequence", "OddCollection", "is_noncrossing", "enumerate_noncrossing", "shift_arc", "extend_seq",
@@ -49,25 +49,20 @@ def is_noncrossing(arcs: Iterable[Arc]) -> bool:
                for x, y in combinations(arcs, 2))
 
 
-class _Arcs(NamedTuple):
-    arcs: tuple[Arc, ...] = ()
-
-
-class ArcSequence(_Arcs):
-    """A noncrossing set of arcs, stored sorted; hashable.  A one-field record whose
-    len, iteration and `in` are its arcs', while _make, _replace and _asdict see the field."""
+class ArcSequence(tuple):
+    """A noncrossing set of arcs: the sorted tuple of its arcs, equal to it and hashed as it."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-    _replace = lambda self, **fields: type(self)(**{"arcs": self.arcs, **fields})
-    _asdict = lambda self: {"arcs": self.arcs}
 
     def __new__(cls, arcs: tuple[Arc, ...] = ()) -> "ArcSequence":
         if list(arcs) != sorted(set(arcs)):
             raise ValueError("arcs must be sorted and distinct; use ArcSequence.of")
         if not is_noncrossing(arcs):
             raise ValueError(f"arcs cross: {[(x.a, x.b) for x in arcs]}")
-        return _Arcs.__new__(cls, arcs)
+        return tuple.__new__(cls, arcs)
+
+    def __repr__(self) -> str:
+        return f"ArcSequence(arcs={tuple(self)!r})"
 
     @classmethod
     def of(cls, arcs: Iterable[Arc]) -> "ArcSequence":
@@ -76,20 +71,8 @@ class ArcSequence(_Arcs):
             raise ValueError("duplicate arcs")
         return cls(tuple(xs))
 
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-    def __iter__(self):
-        return iter(self.arcs)
-
-    def __contains__(self, arc) -> bool:
-        return arc in self.arcs
-
-    def __getnewargs__(self) -> tuple:  # copy and pickle: the record's one field
-        return (self.arcs,)
-
     def to_json(self) -> list[list[int]]:
-        return [[x.a, x.b] for x in self.arcs]
+        return [[x.a, x.b] for x in self]
 
     @classmethod
     def from_json(cls, obj: list[list[int]]) -> "ArcSequence":
@@ -104,7 +87,7 @@ class ArcSequence(_Arcs):
 
 
 def seq_key(seq: ArcSequence) -> tuple:
-    return (len(seq), tuple((x.a, x.b) for x in seq))
+    return (len(seq), seq)  # arcs order by (a, b)
 
 
 def odd_arcs(n: int) -> list[Arc]:
@@ -127,7 +110,7 @@ def enumerate_noncrossing(n: int) -> Iterator[ArcSequence]:
     def grow(s: int, chosen: tuple[Arc, ...], i: int, ends: tuple[int, ...]) -> Iterator[ArcSequence]:
         # ends: n + 1, then the ends b of the chosen arcs, innermost last; those below 2i + 1 are closed
         if len(chosen) == s:
-            yield tuple.__new__(ArcSequence, (chosen,))  # sorted and noncrossing as built: unchecked
+            yield tuple.__new__(ArcSequence, chosen)  # sorted and noncrossing as built: unchecked
             return
         for i in range(i, len(rows)):
             p = 2 * i + 1
@@ -172,17 +155,17 @@ def decompose(seq: ArcSequence, n: int) -> tuple[int, ArcSequence]:
     arc is kept.  The unshift below can never meet i in {a-1, a, b} for the
     remaining arcs; that structural fact is checked as it is used.
     """
-    if not seq.arcs:
+    if not seq:
         raise ValueError("empty sequence has no decomposition")
-    if max(x.b for x in seq.arcs) > n - 1:
+    if max(x.b for x in seq) > n - 1:
         raise ValueError(f"sequence does not fit in V_{n}")
-    chosen = min(seq.arcs, key=lambda x: (x.b - x.a, x.a))
+    chosen = min(seq, key=lambda x: (x.b - x.a, x.a))
     if chosen.a == chosen.b:
         i = chosen.a
-        rest = [x for x in seq.arcs if x != chosen]
+        rest = [x for x in seq if x != chosen]
     else:
         i = chosen.a + 1
-        rest = list(seq.arcs)
+        rest = list(seq)
     out = []
     for x in rest:
         if x.b < i:
@@ -227,7 +210,10 @@ def arcs_of(E: Subspace) -> ArcSequence:
     slots = peel(E, COLLECTION)
     if slots is None:
         raise ValueError(f"subspace is not a collection member in V_{E.n}")
-    return replay(slots, ArcSequence(), 0, extend_seq)
+    seq = ArcSequence()
+    for k, i in enumerate(reversed(slots), 1):  # top first: the last slot steps from V_0 into V_2
+        seq = extend_seq(i, seq, 2 * k)
+    return seq
 
 
 def to_lagrangian(E: Subspace) -> Subspace:

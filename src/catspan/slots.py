@@ -3,8 +3,8 @@
 A member of V_n is the base of its level, or embed_i(P) + <e_i> for a slot
 i in [1, n] and a member P of V_{n-2}.  members() runs this forward, each
 member of every level once from its canonical parent; the peel runs it
-backwards from one subspace, and a replay folds the peeled slots forward
-again, from another base or another step.
+backwards from one subspace, and Rule.build (or extend_seq, in arcs_of)
+folds the peeled slots forward again, at another level or on the arc sets.
 
 Slot i fits E when E = embed_i(P) + <e_i> for some P: every vector of E has
 x_{i-1} = x_{i+1} (coordinates outside V_n read 0), and e_i is in E unless
@@ -61,13 +61,11 @@ runs only at the roots.  members() and pairs() unpack each member once.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Iterator, NamedTuple
 
 from .gf2 import Subspace, check_even, odd_support
 
-__all__ = ["Rule", "F0", "F1", "COLLECTION", "layer", "packed", "members", "pairs", "replay", "first_slot", "peel"]
-
-T = TypeVar("T")
+__all__ = ["Rule", "F0", "F1", "COLLECTION", "packed", "members", "pairs", "first_slot", "peel"]
 
 
 class Rule(NamedTuple):
@@ -132,15 +130,6 @@ def _unpack(P: int, pivots: int, n: int) -> Subspace:
     return Subspace._make((n, tuple([P >> n * j & full for j in range(pivots.bit_count())])))
 
 
-def layer(step: Callable[[int, T, int], T], n: int, below: Iterable[T], base: T) -> set[T]:
-    """base, and step(i, x, n) for every slot i in [1, n] and x in below."""
-    out = {base}
-    for i in range(1, n + 1):
-        for x in below:
-            out.add(step(i, x, n))
-    return out
-
-
 def packed(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
     """(P, pivots, Q, qpivots) for each member of the level in V_n, each once, packed
     at stride n: a depth-first walk over canonical parents from the roots.  Q and
@@ -177,14 +166,6 @@ def pairs(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> I
     members(rule, n, start), in its order; the image is None with image None."""
     return ((_unpack(P, pivots, n), image and _unpack(Q, qpivots, n))
             for P, pivots, Q, qpivots in packed(rule, image, n, start))
-
-
-def replay(slots: list[int], x: T, n: int, step: Callable[[int, T, int], T]) -> T:
-    """Fold peeled slots (top first) forward through step from x at V_n."""
-    for i in reversed(slots):
-        n += 2
-        x = step(i, x, n)
-    return x
 
 
 def first_slot(E: Subspace | tuple, rule: Rule) -> int | None:

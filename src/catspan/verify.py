@@ -36,7 +36,7 @@ from .noncrossing import (
     shift_arc,
     span_arcs,
 )
-from .slots import COLLECTION, F0, F1, layer, members, pairs
+from .slots import COLLECTION, F0, F1, members, pairs
 from . import oracle as oracle_mod
 
 __all__ = ["CheckResult", "run_checks", "ORACLE_CHECKS"]
@@ -230,7 +230,7 @@ def check_inductive_closure(n: int) -> str | None:
     """The extend-generated family equals the directly enumerated one."""
     generated = {ArcSequence()}
     for m in range(2, n + 1, 2):
-        generated = layer(extend_seq, m, generated, ArcSequence())
+        generated = {ArcSequence(), *(extend_seq(i, x, m) for i in range(1, m + 1) for x in generated)}
     direct = set(enumerate_noncrossing(n))
     if generated != direct:
         diff = sorted(generated ^ direct, key=seq_key)[0]

@@ -23,7 +23,7 @@ from catspan.families import FamilyTable, build_families
 from catspan.gf2 import Subspace, subspace_key
 from catspan.noncrossing import build_collection, to_lagrangian
 from catspan.oracle import all_subspaces
-from catspan.slots import COLLECTION, F0, F1, first_slot, layer, members, packed, pairs, peel
+from catspan.slots import COLLECTION, F0, F1, first_slot, members, packed, pairs, peel
 
 
 def first_slot_counts(start, D_max, every_base=True):
@@ -50,9 +50,9 @@ def first_slot_counts(start, D_max, every_base=True):
 def test_families_equal_the_plain_layer_builder():
     f0, f1, coll = {Subspace(0, ())}, set(), {Subspace(0, ())}
     for D in range(2, 15, 2):
-        f0 = layer(F0.step, D, f0, F0.base(D))
-        f1 = layer(F1.step, D, f1, F1.base(D))
-        coll = layer(COLLECTION.step, D, coll, COLLECTION.base(D))
+        f0 = {F0.base(D), *(F0.step(i, x, D) for i in range(1, D + 1) for x in f0)}
+        f1 = {F1.base(D), *(F1.step(i, x, D) for i in range(1, D + 1) for x in f1)}
+        coll = {COLLECTION.base(D), *(COLLECTION.step(i, x, D) for i in range(1, D + 1) for x in coll)}
         table = build_families(D)
         assert table.f0 == f0 and table.f1 == f1, D
         assert build_collection(D).members == coll, D

@@ -15,7 +15,7 @@ from catspan.families import build_families, level_down, level_up
 from catspan.gf2 import Subspace, span_masks
 from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs, to_lagrangian
 from catspan.oracle import all_subspaces
-from catspan.slots import COLLECTION, F0, F1, peel, replay
+from catspan.slots import COLLECTION, F0, F1, peel
 
 
 def paper_rows(rule, i, rows):
@@ -41,11 +41,15 @@ def embed_step(rule, i, rows):
 
 
 def replays_to(E, slots, rule):
-    """Both forward readings of the slots: canonical steps, and the paper's
-    rows folded unreduced and spanned once at the top."""
+    """Both forward readings of the slots: canonical steps, folded one by one
+    and by Rule.build, and the paper's rows folded unreduced and spanned once
+    at the top."""
     m = E.n - 2 * len(slots)
-    rows = replay(slots, rule.base(m).rows, m, lambda i, rows, _: paper_rows(rule, i, rows))
-    return replay(slots, rule.base(m), m, rule.step) == E == span_masks(rows, E.n)
+    P, rows = rule.base(m), rule.base(m).rows
+    for i in reversed(slots):
+        m += 2
+        P, rows = rule.step(i, P, m), paper_rows(rule, i, rows)
+    return rule.build(slots, E.n) == P == E == span_masks(rows, E.n)
 
 
 def levels(D):

@@ -1,6 +1,7 @@
-"""The package's records are NamedTuples: each keeps the repr, hash, order and
-checks of the frozen dataclass it replaced, Arc and Line stay distinct, and
-only the trusted Subspace._make skips the canonical-RREF check."""
+"""The package's records are NamedTuples, and ArcSequence the tuple of its arcs:
+each keeps the repr, order and checks of the frozen dataclass it replaced, Arc
+and Line stay distinct, and only the trusted Subspace._make skips the
+canonical-RREF check."""
 
 import copy
 import pickle
@@ -11,11 +12,12 @@ from itertools import product
 import pytest
 
 from _fixtures import lines_in
+from catspan import noncrossing
 from catspan.conjecture import MatchResult, SuppliedFamily
 from catspan.counting import CountRow
 from catspan.families import FamilyTable, Line
 from catspan.gf2 import Subspace, span_masks
-from catspan.noncrossing import Arc, ArcSequence, OddCollection, odd_arcs
+from catspan.noncrossing import Arc, ArcSequence, OddCollection, enumerate_noncrossing, odd_arcs, seq_key
 from catspan.oracle import OracleBudget, cells
 from catspan.slots import COLLECTION, F0, F1, members
 from catspan.verify import CheckResult
@@ -34,7 +36,7 @@ def test_hashes_are_those_of_the_field_tuples():
     assert hash(Arc(1, 3)) == hash(Line(1, 3)) == hash((1, 3))
     assert hash(Subspace(4, (1, 6))) == hash((4, (1, 6)))
     seq = ArcSequence.of([Arc(3, 3), Arc(1, 5)])
-    assert hash(seq) == hash(((Arc(1, 5), Arc(3, 3)),))
+    assert hash(seq) == hash((Arc(1, 5), Arc(3, 3)))
     assert hash(CountRow(2, "f0", 3, 3)) == hash((2, "f0", 3, 3))
 
 
@@ -74,13 +76,40 @@ def test_reprs_are_unchanged(record, text):
 
 def test_arc_sequence_acts_as_its_arcs():
     seq = ArcSequence.of([Arc(3, 3), Arc(1, 5)])
-    assert seq.arcs == (Arc(1, 5), Arc(3, 3))
+    assert tuple(seq) == (Arc(1, 5), Arc(3, 3))
     assert len(seq) == 2 and list(seq) == [Arc(1, 5), Arc(3, 3)]
     assert Arc(3, 3) in seq and Arc(1, 5) in seq
-    assert Arc(1, 1) not in seq and seq.arcs not in seq and Line(3, 3) not in seq
+    assert Arc(1, 1) not in seq and tuple(seq) not in seq and Line(3, 3) not in seq
     empty = ArcSequence()
     assert len(empty) == 0 and list(empty) == [] and not empty and seq
     assert copy.deepcopy(seq) == seq
+
+
+def test_arc_sequence_is_the_tuple_of_its_arcs(monkeypatch):
+    arcs = (Arc(1, 5), Arc(3, 3))
+    seq = ArcSequence(arcs)
+    assert seq == arcs and hash(seq) == hash(arcs) and {arcs: 1}[seq] == 1
+    assert seq != (arcs,) and ArcSequence() == () and hash(ArcSequence()) == hash(())
+    assert not hasattr(seq, "arcs") and not any(hasattr(seq, name) for name in ("_make", "_replace", "_asdict"))
+    assert not {"__len__", "__iter__", "__contains__", "__getnewargs__"} & set(vars(ArcSequence))
+    # copy, deepcopy and pickle rebuild through the checking constructor, once each
+    checked, check = [], noncrossing.is_noncrossing
+    monkeypatch.setattr(noncrossing, "is_noncrossing", lambda xs: checked.append(xs) or check(xs))
+    for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        checked.clear()
+        back = rebuild(seq)
+        assert type(back) is ArcSequence and back == seq and checked == [arcs]
+    raw = tuple.__new__(ArcSequence, (Arc(1, 5), Arc(3, 7)))  # crossing, built unchecked
+    with pytest.raises(ValueError, match=re.escape("arcs cross: [(1, 5), (3, 7)]")):
+        pickle.loads(pickle.dumps(raw))
+    monkeypatch.undo()
+    # seq_key orders as the (a, b) pairs did, grade first
+    rng = random.Random(12)
+    for D in range(0, 13, 2):
+        seqs = list(enumerate_noncrossing(D))
+        shuffled = rng.sample(seqs, len(seqs))
+        by_pairs = sorted(shuffled, key=lambda x: (len(x), tuple((arc.a, arc.b) for arc in x)))
+        assert sorted(shuffled, key=seq_key) == by_pairs == seqs, D
 
 
 @pytest.mark.parametrize(
@@ -147,22 +176,6 @@ def test_subspace_rejects_a_bad_dimension_or_row_container():
     assert Subspace(0) == Subspace._make((0, ()))
     # _make trusts its fields, whatever they are
     assert Subspace._make((True, [1, 2])) == (True, [1, 2])
-
-
-def test_arc_sequence_namedtuple_helpers_act_on_the_one_field():
-    for arcs in [(), (Arc(1, 1),), (Arc(1, 5), Arc(3, 3)), (Arc(1, 1), Arc(3, 3), Arc(5, 5))]:
-        seq = ArcSequence(arcs)
-        assert seq._asdict() == {"arcs": arcs}
-        assert ArcSequence(**seq._asdict()) == seq
-        assert ArcSequence._make([arcs]) == ArcSequence._make((seq.arcs,)) == seq
-        assert type(ArcSequence._make([arcs])) is ArcSequence
-        assert seq._replace() == seq and seq._replace(arcs=()) == ArcSequence()
-        assert ArcSequence()._replace(arcs=arcs) == seq
-    # _make and _replace build through the checking constructor
-    with pytest.raises(ValueError, match="arcs cross"):
-        seq._replace(arcs=(Arc(1, 5), Arc(3, 7)))
-    with pytest.raises(ValueError, match="sorted and distinct"):
-        ArcSequence._make([(Arc(3, 3), Arc(1, 1))])
 
 
 def test_make_is_the_unchecked_path():
