@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import groupby, islice
+from typing import Iterator
 
 from .families import level_down, level_up
 from .gf2 import Subspace
@@ -25,6 +24,7 @@ SUBSPACE_MAPS = {
     "unlagrangian": from_lagrangian,
 }
 MAP_OPS = ("span-arcs", *SUBSPACE_MAPS, "decompose")
+CHUNK = 256  # subspaces laid out and written at once; only one chunk and one sorted grade are alive
 
 
 def _even(value: str) -> int:
@@ -66,54 +66,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _members(kind: str, n: int) -> Iterable[Sequence]:
-    """One level in canonical order, each member rendered once to its parts, whose number is
-    its grade: an arc set's (a, b) pairs or a subspace's basis strings, joined by one format
-    call on its packed word.  Joined strings of one length n * grade sort as subspace_key, grade
-    first; a start m of f0, f1 or lagrangian is one grade, the collection's is not."""
-    if kind == "arcs":
-        return enumerate_noncrossing(n)
+def _grades(kind: str, n: int) -> Iterator[tuple[int, Iterator[str]]]:
+    """(k, its members' joined basis strings) for each grade k of a subspace level, in canonical
+    order.  A member's rows come joined from one format call on its packed word, and joined
+    strings of one length n * k sort as subspace_key; a start m of f0, f1 or lagrangian is one
+    grade, sorted alone, and the collection's one start sorts by (length, string)."""
     rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
     key = (lambda s: (len(s), s)) if kind == "collection" else None
-    walks = (sorted((format(P | 1 << n * pivots.bit_count(), "b")[:0:-1] for P, pivots, _, _
-                     in packed(rule, None, n, m)), key=key) for m in starts)
-    return map(re.compile(f".{{{n}}}").findall, chain.from_iterable(walks))
+    for m in starts:  # no name holds a sorted start, so it is freed before the next is sorted
+        words = (format(P | 1 << n * pivots.bit_count(), "b")[:0:-1] for P, pivots, _, _ in packed(rule, None, n, m))
+        for length, grade in groupby(sorted(words, key=key), len):
+            yield length // n, grade
+
+
+# a grade-k subspace's entry in each format: head, row separator, tail and the zero's entry;
+# a json entry, compact or export's indent 2, opens with the separator from the entry before it
+PARTS = {"csv": ("{n},{kind},{k},", "|", "\n", "{n},{kind},0,\n"),
+         "text": ("dim={k} basis=", "|", "\n", "dim=0 basis=-\n"),
+         "json": (', {{"D": {n}, "basis": ["', '", "', '"]}}', ', {{"D": {n}, "basis": []}}'),
+         "export": (',\n    {{\n      "D": {n},\n      "basis": [\n        "', '",\n        "', '"\n      ]\n    }}',
+                    ',\n    {{\n      "D": {n},\n      "basis": []\n    }}')}
+
+
+def _layout(parts: list[str], n: int, k: int, words: list[str]) -> bytearray:
+    """The entries of words, grade-k members whose k rows of n chars come joined, one after
+    another.  Every entry of a grade has one width L, so the template is repeated and each
+    of the n * k row columns goes in with one strided copy."""
+    head, sep, tail, zero = parts
+    template = (head + sep.join(["\0" * n] * k) + tail if k else zero).encode()
+    out, L, joined = bytearray(template) * len(words), len(template), "".join(words).encode()
+    for i in range(n * k):  # column i % n of row i // n, after i // n row separators
+        out[len(head) + i // n * len(sep) + i::L] = joined[i::n * k]
+    return out
 
 
 def _csv_header(kind: str) -> str:
     return "D,kind,s,arcs\n" if kind == "arcs" else "D,kind,dim,basis\n"
 
 
-def _line(fmt: str, kind: str, n: int, parts: Sequence) -> str:
-    """One csv or text line; no csv cell holds a comma, a quote or a line break, so none is quoted."""
+def _line(fmt: str, n: int, seq: ArcSequence) -> str:
+    """An arc set's csv or text line; no csv cell holds a comma, a quote or a line break, so none is quoted."""
     if fmt == "csv":
-        cells = [f"{a}-{b}" for a, b in parts] if kind == "arcs" else parts
-        return f"{n},{kind},{len(parts)},{'|'.join(cells)}\n"
-    if kind == "arcs":
-        return f"s={len(parts)} arcs={' '.join(f'({a},{b})' for a, b in parts) or '-'}\n"
-    return f"dim={len(parts)} basis={'|'.join(parts) or '-'}\n"
+        return f"{n},arcs,{len(seq)},{'|'.join(f'{a}-{b}' for a, b in seq)}\n"
+    return f"s={len(seq)} arcs={' '.join(f'({a},{b})' for a, b in seq) or '-'}\n"
 
 
-def _json_member(kind: str, n: int, parts: Sequence) -> str:
-    """One member as json.dump(..., indent=2) lays it out in a list under a top-level key."""
+def _json_member(fmt: str, n: int, seq: ArcSequence) -> str:
+    """An arc set's json entry after the separator from the entry before it, as json.dumps
+    lays it out, or json.dump(..., indent=2) in a list under a top-level key (export)."""
+    if fmt == "json":
+        return f", {json.dumps(seq.to_json())}"
+    arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in seq)
+    return f",\n    [\n      {arcs}\n    ]" if seq else ",\n    []"
+
+
+def _entries(kind: str, n: int, fmts: tuple[str, ...], grade: int | None = None) -> Iterator[tuple]:
+    """(grade, member count, their entries in each of fmts) for one level in canonical order:
+    an arc set alone, or up to CHUNK subspaces of one grade laid out at once."""
     if kind == "arcs":
-        arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in parts)
-        return f"[\n      {arcs}\n    ]" if parts else "[]"
-    basis = '[\n        "' + '",\n        "'.join(parts) + '"\n      ]' if parts else "[]"
-    return f'{{\n      "D": {n},\n      "basis": {basis}\n    }}'
+        for seq in enumerate_noncrossing(n):
+            if grade in (None, len(seq)):
+                yield len(seq), 1, [(_line if fmt in ("csv", "text") else _json_member)(fmt, n, seq).encode()
+                                    for fmt in fmts]
+        return
+    for k, words in _grades(kind, n):
+        parts = [[part.format(n=n, kind=kind, k=k) for part in PARTS[fmt]] for fmt in fmts]
+        while grade in (None, k) and (chunk := list(islice(words, CHUNK))):
+            yield k, len(chunk), [_layout(p, n, k, chunk) for p in parts]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    n, kind = args.D, args.kind
-    members = (m for m in _members(kind, n) if args.grade is None or len(m) == args.grade)
-    if args.format == "json":
-        shown = list(members) if kind == "arcs" else [{"D": n, "basis": rows} for rows in members]
-        print(json.dumps({"D": n, "kind": kind, "members": shown}))
-        return 0
-    if args.format == "csv":
-        sys.stdout.write(_csv_header(kind))
-    sys.stdout.writelines(_line(args.format, kind, n, parts) for parts in members)  # streamed
+    n, kind, fmt = args.D, args.kind, args.format
+    sys.stdout.write({"csv": _csv_header(kind), "text": ""}.get(fmt, f'{{"D": {n}, "kind": "{kind}", "members": ['))
+    skip = 2 if fmt == "json" else 0  # the first entry's ", "
+    for _, _, (entries,) in _entries(kind, n, (fmt,), args.grade):  # streamed, one chunk at a time
+        sys.stdout.write(entries[skip:].decode())
+        skip = 0
+    sys.stdout.write("]}\n" if fmt == "json" else "")
     return 0
 
 
@@ -184,19 +214,19 @@ def _export(out, n: int, stem: str, kinds: dict[str, str]) -> tuple[list, dict[s
     Return both paths and each kind's member count per grade 0..n."""
     paths = [out / f"{stem}.csv", out / f"{stem}.json"]
     tally = {kind: [0] * (n + 1) for kind in kinds.values()}
-    with paths[0].open("w", encoding="utf-8") as csv_fh, paths[1].open("w", encoding="utf-8") as fh:
-        csv_fh.write(_csv_header(stem))  # families: the basis header that f0 and f1 share
-        fh.write(f'{{\n  "D": {n}')
+    with paths[0].open("wb") as csv_fh, paths[1].open("wb") as fh:
+        csv_fh.write(_csv_header(stem).encode())  # families: the basis header that f0 and f1 share
+        fh.write(f'{{\n  "D": {n}'.encode())
         for key, kind in kinds.items():
-            fh.write(f',\n  "{key}": [')
-            sep = "\n    "
-            for parts in _members(kind, n):
-                tally[kind][len(parts)] += 1
-                csv_fh.write(_line("csv", kind, n, parts))
-                fh.write(sep + _json_member(kind, n, parts))
-                sep = ",\n    "
-            fh.write("]" if sep == "\n    " else "\n  ]")
-        fh.write("\n}\n")
+            fh.write(f',\n  "{key}": ['.encode())
+            skip = 1  # the first entry's comma
+            for k, count, (lines, entries) in _entries(kind, n, ("csv", "export")):
+                tally[kind][k] += count
+                csv_fh.write(lines)
+                fh.write(memoryview(entries)[skip:])
+                skip = 0
+            fh.write(b"]" if skip else b"\n  ]")
+        fh.write(b"\n}\n")
     return paths, tally
 
 

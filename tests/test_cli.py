@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -185,6 +186,53 @@ def reference_export(n):
     write("counts.csv", [header] + [[*row[:4], str(row[4]).lower()] for row in counts])
     write("counts.json", {"D": n, "rows": [dict(zip(header, row)) for row in counts]})
     return files
+
+
+def reference_entry(fmt, kind, n, rows):
+    """One subspace entry, one member at a time: an f-string line, or json.dumps' entry after
+    the separator from the entry before it, compact or at export's indent-2 depth."""
+    if fmt == "csv":
+        return f"{n},{kind},{len(rows)},{'|'.join(rows)}\n"
+    if fmt == "text":
+        return f"dim={len(rows)} basis={'|'.join(rows) or '-'}\n"
+    if fmt == "json":
+        return ", " + json.dumps({"D": n, "basis": rows})
+    return ",\n    " + json.dumps({"D": n, "basis": rows}, indent=2).replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json", "export"])
+def test_layout_matches_one_entry_at_a_time(fmt):
+    rng = random.Random(fmt)
+    for n in (2, 4, 6):
+        for k in range(5):
+            for count in (1, 2, 3, 4):
+                members = [[format(rng.getrandbits(n), f"0{n}b") for _ in range(k)] for _ in range(count)]
+                parts = [part.format(n=n, kind="f1", k=k) for part in cli.PARTS[fmt]]
+                got = cli._layout(parts, n, k, ["".join(rows) for rows in members])
+                assert got.decode() == "".join(reference_entry(fmt, "f1", n, rows) for rows in members), (n, k)
+    zero = cli._layout([part.format(n=4, kind="f1", k=0) for part in cli.PARTS[fmt]], 4, 0, [""])
+    assert zero.decode() == {"csv": "4,f1,0,\n", "text": "dim=0 basis=-\n", "json": ', {"D": 4, "basis": []}',
+                             "export": ',\n    {\n      "D": 4,\n      "basis": []\n    }'}[fmt]
+
+
+def test_chunk_edges_keep_every_output(capsys, tmp_path, monkeypatch):
+    # chunks of 3 split grades of 2, 3 and 4 members short, exactly and one past an edge,
+    # and every export key's first member opens a chunk
+    monkeypatch.setattr(cli, "CHUNK", 3)
+    sizes = Counter(sum(1 for _ in words) for n in (2, 4, 6) for kind in ("f0", "f1", "collection")
+                    for _, words in cli._grades(kind, n))
+    assert sizes[2] and sizes[3] and sizes[4]
+    for n in (2, 4, 6):
+        out_dir = tmp_path / str(n)
+        assert run(capsys, "export", "--D", str(n), "--out", str(out_dir))[0] == 0
+        assert {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()} == reference_export(n), n
+        for kind in ("f0", "f1", "lagrangian", "collection"):
+            members = reference_members(kind, n)
+            for fmt in ("json", "csv", "text"):
+                for grade in (None, 1):
+                    argv = ["enumerate", "--kind", kind, "--D", str(n), "--format", fmt]
+                    argv += [] if grade is None else ["--grade", str(grade)]
+                    assert run(capsys, *argv)[1] == reference_enumerate(members, kind, n, fmt, grade), argv
 
 
 def test_export_matches_the_slow_reference(capsys, tmp_path):
@@ -509,6 +557,15 @@ def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
         calls["mask_to_string"] += 1
         return mask_to_string(mask, n)
 
+    def counting(name, render):
+        def wrapper(*args):
+            calls[name] += 1
+            return render(*args)
+        return wrapper
+
+    # the arc sets alone are rendered one at a time; subspaces are laid out a grade at a time
+    for name in ("_line", "_json_member"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     monkeypatch.setattr(gf2.Subspace, "_make", classmethod(counting_make))
     monkeypatch.setattr(gf2.Subspace, "__new__", counting_new)
     monkeypatch.setattr(gf2, "mask_to_string", counting_mask_to_string)
@@ -517,6 +574,7 @@ def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "export", "--D", "8", "--out", str(tmp_path / "out"))
     assert code == 0
     assert calls["mask_to_string"] == 0
+    assert calls["_line"] == calls["_json_member"] == 42  # Cat_5 arc sets at D = 8
     # at most the base of each V_0..V_8 per subspace table, read to find the roots
     assert calls["Subspace"] <= 3 * (8 // 2 + 1)
 

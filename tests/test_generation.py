@@ -230,7 +230,7 @@ def test_the_packed_walk_keeps_the_stack_walk_order():
 
 def test_the_leaf_strings_are_the_joined_basis_strings():
     # one format call on each packed word under its sentinel, for every rule and start; and
-    # export's members, each leaf string cut into rows, in canonical order
+    # the grades that export and enumerate lay out, each leaf string with its grade, in canonical order
     kinds = (("f0", F0, None), ("f1", F1, None), ("lagrangian", F0, 0), ("collection", COLLECTION, None))
     for D in range(0, 15, 2):
         for rule in (F0, F1, COLLECTION):
@@ -241,5 +241,5 @@ def test_the_leaf_strings_are_the_joined_basis_strings():
                 assert leaves == want, (D, rule, start)
         for kind, rule, start in kinds if D else ():
             level = sorted((E for E, _ in stack_pairs(rule, None, D, start)), key=subspace_key)
-            rendered = ["".join(parts) for parts in cli._members(kind, D)]
-            assert rendered == [joined(D, E.rows) for E in level], (D, kind)
+            rendered = [(k, word) for k, words in cli._grades(kind, D) for word in words]
+            assert rendered == [(E.dim, joined(D, E.rows)) for E in level], (D, kind)
