@@ -68,14 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _grades(kind: str, n: int) -> Iterator[tuple[int, Iterator[str]]]:
     """(k, its members' joined basis strings) for each grade k of a subspace level, in canonical
-    order.  A member's rows come joined from one format call on its packed word, and joined
-    strings of one length n * k sort as subspace_key; a start m of f0, f1 or lagrangian is one
-    grade, sorted alone, and the collection's one start sorts by (length, string)."""
+    order.  A run's rows come joined from one format call on its word, member c the n * dims[c]
+    chars at W * c, and joined strings of one length n * k sort as subspace_key; a start m of
+    f0, f1 or lagrangian is one grade, sorted alone, and the collection's one start sorts by
+    (length, string)."""
     rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
     key = (lambda s: (len(s), s)) if kind == "collection" else None
     for m in starts:  # no name holds a sorted start, so it is freed before the next is sorted
-        words = (format(P | 1 << n * pivots.bit_count(), "b")[:0:-1] for P, pivots, _, _ in packed(rule, None, n, m))
+        words = (s[W * c:W * c + n * k] for W, word, dims, *_ in packed(rule, None, n, m)
+                 for s in [format(word | 1 << W * len(dims), "b")[:0:-1]] for c, k in enumerate(dims))
         for length, grade in groupby(sorted(words, key=key), len):
             yield length // n, grade
 

@@ -18,14 +18,7 @@ from typing import NamedTuple
 from .gf2 import Subspace, mask_to_string, span_masks, subspace_key
 from .slots import COLLECTION, members
 
-__all__ = [
-    "SuppliedFamily",
-    "MatchResult",
-    "load_family",
-    "fingerprint",
-    "gl_match",
-    "collection_as_plain",
-]
+__all__ = ["SuppliedFamily", "MatchResult", "load_family", "fingerprint", "gl_match", "collection_as_plain"]
 
 MAX_RANK = 5  # |GL(6,2)| is already out of desk range
 

@@ -60,9 +60,11 @@ class CountRow(NamedTuple):
 
 @lru_cache(maxsize=None)
 def grades(rule: Rule, D: int) -> tuple[int, ...]:
-    """Members of the level in V_D per dimension 0..D, one per pivot, from one packed
-    walk; cached at D + 1 integers, so the count rows and verify's surjectivity share it."""
-    tally = Counter(pivots.bit_count() for _, pivots, _, _ in packed(rule, None, D))
+    """Members of the level in V_D per dimension 0..D, the dims of one packed walk's
+    runs; cached at D + 1 integers, so the count rows and verify's surjectivity share it."""
+    tally = Counter()
+    for _, _, dims, *_ in packed(rule, None, D):
+        tally.update(dims)
     return tuple(tally[k] for k in range(D + 1))
 
 

@@ -19,13 +19,7 @@ from typing import NamedTuple
 from .gf2 import Subspace, check_even, form_masks
 from .noncrossing import ArcSequence, is_noncrossing, odd_arcs, seq_key
 
-__all__ = [
-    "OracleBudget",
-    "cells",
-    "all_subspaces",
-    "all_isotropic",
-    "noncrossing_direct",
-]
+__all__ = ["OracleBudget", "cells", "all_subspaces", "all_isotropic", "noncrossing_direct"]
 
 MAX_ARC_SUBSET = 24  # 2^24 subsets is the hard line for the power-set filter
 

@@ -49,18 +49,25 @@ the base of V_m and the f0 walk from the zero of V_m take the same slots, as
 do the collection walk and its Lagrangian images from the zero of V_0, and
 packed() carries the image down the walk, one step a member.
 
-Packed words.  packed() holds a member of V_m as one int, row j of its canonical
-rows at bit n * j for the V_n it walks to (m <= n, so each row fits its n bits),
-and a mask of its pivots, the rows' lowest bits: the popcount is the dimension,
-and the pivots below e_i count the rows that e_i goes after.  packed_step applies
-fan 0b101 to every row at once, in a fixed number of int operations whatever the
-dimension (Knuth, TAOCP 4A, 7.1.3).  A child's first slot is its own slot (see
-above), so each stack entry carries the top slot of its children and first_slot
-runs only at the roots.  members() and pairs() unpack each member once.
+Packed words and runs.  packed() holds a member of V_m with k rows as one int, row j
+of its canonical rows at bit n * j for the V_n it walks to (m <= n, so each row fits
+its n bits).  Rule.fan makes all the children of a node at once (Knuth, TAOCP 4A,
+7.1.3): P * rep lays out one copy per slot, W = n * (k + 1) bits apart (room for
+e_i), and one fixed run of int operations applies fan 0b101 to every row of every
+copy.  e_i goes in after the rows with a pivot below it, a prefix of the rows: those
+whose part lo in x_1..x_{i-1} is nonzero.  lo is below 2^(n-1) in its n-bit lane,
+so adding 2^(n-1) - 1 to each lane carries into bit n - 1 of exactly those rows; the
+others move up a lane, and e_i fills the lane they leave.  A copy whose slot adjoins
+nothing stays whole.  A child's first slot is its own slot (see above), so each
+stack entry carries the top slot of its children, and first_slot runs only at the
+roots.  Inner nodes cut their fan into children by shift and mask; a node of
+V_{n-2} yields its fan whole, a run of leaves with each copy's row count in dims.
+export formats each run once, and members() and pairs() unpack each member once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .gf2 import Subspace, check_even, odd_support
@@ -85,33 +92,29 @@ class Rule(NamedTuple):
             raise ValueError("level 1 has no member in V_0")
         return Subspace._make((n, ((1 << n) - 1,) if self.full_base else ()))
 
-    def packed_step(self, i: int, P: int, pivots: int, n: int) -> tuple[int, int]:
-        """embed_i(P) + <e_i> in canonical RREF, on P's rows packed at stride n
-        (row j at bit n * j) with their pivots ORed in one mask.
-
-        Fan 0b101 acts on every row at once (e_i absorbs 0b111's middle bit), rep
-        holding bit n * j of each row: x_1..x_{i-1} stay, x_{i-1} is copied to
-        x_{i+1} and the rest shift up two.  That keeps the pivots in order, and
-        e_i goes in after the rows with a pivot in x_1..x_{i-1}, a prefix of the rows."""
-        unit, low = 1 << (i - 1), (1 << (i - 1)) - 1
-        rep = ((1 << n * pivots.bit_count()) - 1) // ((1 << n) - 1)
-        lo, below = P & low * rep, pivots & low
-        P, pivots = lo | P << 2 & (unit << 1) * rep | (P ^ lo) << 2, below | (pivots ^ below) << 2
-        if not self.odd_only or i % 2:
-            t = n * below.bit_count()
-            P, pivots = P & (1 << t) - 1 | unit << t | P >> t << t + n, pivots | unit
-        return P, pivots
+    def fan(self, top: int, P: int, k: int, n: int, bottom: int = 1) -> tuple[int, int, tuple[int, ...]]:
+        """(W, word, dims): embed_i(P) + <e_i> in canonical RREF for each slot i from top down
+        to bottom, from P's k rows at stride n, copy c with slot top - c and dims[c] rows at
+        bit W * c, W = n * (k + 1).  x_{i-1} is copied to x_{i+1} and the rest shift up two."""
+        rep, low, mid, half, lanes, first, units, full, dims = _masks(self.odd_only, n, k, top, bottom)
+        X = P * rep
+        lo = X & low
+        X = lo | X << 2 & mid | (X ^ lo) << 2
+        kept = ((lo + half) >> n - 1 & lanes) * ((1 << n) - 1)  # the lanes of the rows before e_i
+        Y = X & (kept | full)  # the rows that stay put; a copy whose slot adjoins nothing stays whole
+        return n * (k + 1), Y | (X ^ Y) << n | units & ((kept << n | first) ^ kept), dims
 
     def step(self, i: int, P: Subspace, n: int) -> Subspace:
-        """packed_step on P's canonical rows, packed at stride n and unpacked in V_n."""
-        return _unpack(*self.packed_step(i, *_pack(P.rows, n), n), n)
+        """The fan's one copy at slot i on P's canonical rows, packed at stride n, unpacked in V_n."""
+        _, word, (k,) = self.fan(i, *_pack(P.rows, n), n, i)
+        return _unpack(word, k, n)
 
     def build(self, slots: list[int], n: int) -> Subspace:
         """The member of V_n that the slots (top first) build from the base."""
-        P, pivots = _pack(self.base(n - 2 * len(slots)).rows, n)
+        P, k = _pack(self.base(n - 2 * len(slots)).rows, n)
         for i in reversed(slots):
-            P, pivots = self.packed_step(i, P, pivots, n)
-        return _unpack(P, pivots, n)
+            _, P, (k,) = self.fan(i, P, k, n, i)
+        return _unpack(P, k, n)
 
 
 F0 = Rule(False, False)
@@ -119,53 +122,73 @@ F1 = Rule(True, False)
 COLLECTION = Rule(False, True)
 
 
+@lru_cache(maxsize=None)
+def _masks(odd_only: bool, n: int, k: int, top: int, bottom: int) -> tuple:
+    """Rule.fan's masks, each over every copy: the copies' origins, x_1..x_{i-1} and x_{i+1} of each
+    lane, 2^(n-1) - 1 and bit 0 of each lane, each first lane, e_i in each lane of a copy whose slot
+    adjoins it, every bit of a copy whose slot does not; and each copy's row count."""
+    W, slots = n * (k + 1), range(top, bottom - 1, -1)  # copy c at bit W * c takes slot slots[c]
+    one, adjoins = ((1 << W) - 1) // ((1 << n) - 1), [not odd_only or i % 2 for i in slots]
+    rep = sum(1 << W * c for c in range(len(slots)))
+    low = sum(((1 << i - 1) - 1) * one << W * c for c, i in enumerate(slots))
+    mid = sum(one << i + W * c for c, i in enumerate(slots))
+    units = sum(one << i - 1 + W * c for c, i in enumerate(slots) if adjoins[c])
+    full = sum((1 << W) - 1 << W * c for c in range(len(slots)) if not adjoins[c])
+    lanes, dims = one * rep, tuple(k + a for a in adjoins)
+    return rep, low, mid, ((1 << n - 1) - 1) * lanes, lanes, ((1 << n) - 1) * rep, units, full, dims
+
+
 def _pack(rows: tuple[int, ...], n: int) -> tuple[int, int]:
-    """Rows packed at stride n, row j at bit n * j, and their pivots (lowest bits) ORed."""
-    return sum(r << n * j for j, r in enumerate(rows)), sum(r & -r for r in rows)
+    """Rows packed at stride n, row j at bit n * j, and their count."""
+    return sum(r << n * j for j, r in enumerate(rows)), len(rows)
 
 
-def _unpack(P: int, pivots: int, n: int) -> Subspace:
-    """The member of V_n whose rows P packs at stride n, one row per pivot."""
+def _unpack(P: int, k: int, n: int) -> Subspace:
+    """The member of V_n whose k rows P packs at stride n."""
     full = (1 << n) - 1
-    return Subspace._make((n, tuple([P >> n * j & full for j in range(pivots.bit_count())])))
+    return Subspace._make((n, tuple([P >> n * j & full for j in range(k)])))
 
 
 def packed(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
-    """(P, pivots, Q, qpivots) for each member of the level in V_n, each once, packed
-    at stride n: a depth-first walk over canonical parents from the roots.  Q and
-    qpivots pack the member of image that the same slots build from image's base,
-    one step a member (see Lockstep above), or are None with image None.  With a
-    start m, only the tree under the base of V_m if it is a root."""
+    """Runs (W, word, dims, V, qword, qdims) of the members of the level in V_n, each once, from
+    a depth-first walk over canonical parents from the roots: the fan of a node of V_{n-2}, or
+    a root of V_n, copy c at bit W * c.  V, qword and qdims fan image's base in lockstep (see
+    above), or are None with image None.  With a start m, only the tree under the base of V_m."""
     check_even(n)
-    none, step, istep = (None, None), rule.packed_step, image and image.packed_step
-    # (m, top, P, pivots, Q, qpivots): a node of V_m whose children take slots 1..top, every slot at a root
-    stack = [(m, m + 2, *_pack(B.rows, n), *(_pack(image.base(m).rows, n) if image else none))
+    none = (None, None, None)
+    # (m, top, P, k, Q, qk): a node of V_m with k rows whose children take slots 1..top, every slot at a root
+    stack = [(m, m + 2, *_pack(B.rows, n), *(_pack(image.base(m).rows, n) if image else (None, None)))
              for m in range(2 * rule.full_base, n + 1, 2)
              if start in (None, m) and first_slot(B := rule.base(m), rule) is None]
     while stack:
-        m, top, P, pivots, Q, qpivots = stack.pop()
-        if m == n:  # a root of V_n
-            yield P, pivots, Q, qpivots
-        elif m + 2 < n:  # the child at slot i has first slot i: its children take slots 1..i + 1
-            stack.extend((m + 2, i + 1, *step(i, P, pivots, n), *(istep(i, Q, qpivots, n) if image else none))
-                         for i in range(1, top + 1))
-        else:  # leaves, in the order the stack would pop them: the highest slot first
-            for i in range(top, 0, -1):
-                yield (*step(i, P, pivots, n), *(istep(i, Q, qpivots, n) if image else none))
+        m, top, P, k, Q, qk = stack.pop()
+        if m == n:  # a root of V_n, a run of one
+            yield n * (k + 1), P, (k,), *((n * (qk + 1), Q, (qk,)) if image else none)
+            continue
+        W, word, dims, V, qword, qdims = run = (*rule.fan(top, P, k, n), *(image.fan(top, Q, qk, n) if image else none))
+        if m + 2 == n:
+            yield run
+            continue
+        # copy c has slot i = top - c, its first slot, so its children take slots 1..i + 1; copy 0 pops first
+        mask, qmask = (1 << W) - 1, image and (1 << V) - 1
+        stack.extend((m + 2, top - c + 1, word >> W * c & mask, dims[c], image and qword >> V * c & qmask,
+                      image and qdims[c]) for c in range(len(dims) - 1, -1, -1))
 
 
 def members(rule: Rule, n: int, start: int | None = None) -> Iterator[Subspace]:
     """Every member of the level in V_n, each once, in packed's order.  With a
     start m, only the tree under the base of V_m if it is a root: at levels 0
     and 1, where every slot adjoins e_i, the one grade (n - m)/2 + full_base."""
-    return (_unpack(P, pivots, n) for P, pivots, _, _ in packed(rule, None, n, start))
+    return (E for E, _ in pairs(rule, None, n, start))
 
 
 def pairs(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
     """(E, the member of image that E's slots build from image's base) for each E of
-    members(rule, n, start), in its order; the image is None with image None."""
-    return ((_unpack(P, pivots, n), image and _unpack(Q, qpivots, n))
-            for P, pivots, Q, qpivots in packed(rule, image, n, start))
+    members(rule, n, start), in its order, each unpacked from its run once; the image
+    is None with image None."""
+    for W, word, dims, V, qword, qdims in packed(rule, image, n, start):
+        for c, k in enumerate(dims):
+            yield _unpack(word >> W * c, k, n), image and _unpack(qword >> V * c, qdims[c], n)
 
 
 def first_slot(E: Subspace | tuple, rule: Rule) -> int | None:

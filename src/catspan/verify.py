@@ -22,20 +22,8 @@ from typing import NamedTuple
 from .counting import CountRow, gaussian_binomial, grades, verify_counts
 from .families import classify_by_lines, level_up
 from .gf2 import is_isotropic, subspace_key
-from .noncrossing import (
-    Arc,
-    ArcSequence,
-    arcs_of,
-    decompose,
-    enumerate_noncrossing,
-    extend_seq,
-    from_lagrangian,
-    is_noncrossing,
-    odd_arcs,
-    seq_key,
-    shift_arc,
-    span_arcs,
-)
+from .noncrossing import (Arc, ArcSequence, arcs_of, decompose, enumerate_noncrossing, extend_seq, from_lagrangian,
+                          is_noncrossing, odd_arcs, seq_key, shift_arc, span_arcs)
 from .slots import COLLECTION, F0, F1, members, pairs
 from . import oracle as oracle_mod
 

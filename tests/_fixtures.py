@@ -7,14 +7,17 @@ not in reduced form; span_masks() canonicalizes, so set equality against
 the builders is an honest element-for-element comparison.
 
 embed is the slot embedding one mask at a time, the reference for the rows
-that slots.Rule.packed_step writes on one packed word; row_step is that step
-one row at a time, and stack_pairs the walk over Subspaces that calls
-first_slot at every node, the references for slots.packed and its order;
-joined is one subspace's basis strings from its rows, the reference for the
-leaf strings that export renders; lines_in lists a subspace's lines by
-row reduction, the half of classify_by_span that classify_by_lines skips;
-fingerprint_by_containment is the matcher's fingerprint by pairwise
-contains_subspace tests, the reference for its vector-set masks.
+that slots.Rule.fan writes for every copy of a packed word at once; row_step
+is one step one row at a time, e_i put in after the rows with a bit below it
+(the rows the fan finds by its carry test), and stack_pairs the walk over
+Subspaces that calls first_slot at every node, the references for the runs
+of slots.packed and their order; copies cuts a run into its members' words
+and row counts; joined is one subspace's basis strings from its rows, the
+reference for the leaf strings that export slices from each formatted run;
+lines_in lists a subspace's lines by row reduction, the half of
+classify_by_span that classify_by_lines skips; fingerprint_by_containment
+is the matcher's fingerprint by pairwise contains_subspace tests, the
+reference for its vector-set masks.
 """
 
 from functools import lru_cache
@@ -74,8 +77,13 @@ def stack_pairs(rule, image, n, start=None):
 
 
 def pack(rows, n):
-    """Rows at stride n, row j at bit n * j, and the OR of their pivots (lowest bits)."""
-    return sum(r << n * j for j, r in enumerate(rows)), sum(r & -r for r in rows)
+    """Rows at stride n, row j at bit n * j, and their count."""
+    return sum(r << n * j for j, r in enumerate(rows)), len(rows)
+
+
+def copies(W, word, dims):
+    """A run's members as (word, row count), copy c the W bits at W * c; then what lies past the last."""
+    return [(word >> W * c & (1 << W) - 1, k) for c, k in enumerate(dims)], word >> W * len(dims)
 
 
 def joined(n, rows):

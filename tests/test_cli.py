@@ -540,7 +540,7 @@ def test_export_json_is_json_dump_at_indent_2(capsys, tmp_path):
 
 
 def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
-    # each member's rows come joined from one format call on its packed word: no row goes
+    # each run's rows come joined from one format call on its packed word: no row goes
     # through mask_to_string, and no Subspace is built per member, only the bases of the walks
     calls = Counter()
     make, new, mask_to_string = gf2.Subspace._make, gf2.Subspace.__new__, gf2.mask_to_string

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from itertools import chain
 
-from _fixtures import joined, pack, stack_pairs
+from _fixtures import copies, joined, pack, stack_pairs
 from catspan import cli, conjecture, counting, families, noncrossing, slots, verify
 from catspan.conjecture import SuppliedFamily
 from catspan.counting import catalan
@@ -152,10 +152,15 @@ def test_no_output_depends_on_the_walk_order(monkeypatch, capsys, tmp_path):
     walked = command_outputs(tmp_path / "walk", capsys)
     forward = list(members(F0, 8))
 
-    def backward(rule, image, n, start=None):  # forwards the start, so one start's walk is reversed too
-        return reversed(list(packed(rule, image, n, start)))
+    def flip(W, word, dims):  # a run's copies in reverse order
+        got, _ = copies(W, word, dims)
+        return W, sum(P << W * c for c, (P, _) in enumerate(reversed(got))), dims[::-1]
 
-    # members and pairs walk slots.packed, so every consumer's walk is reversed
+    def backward(rule, image, n, start=None):  # forwards the start, so one start's walk is reversed too
+        return [(*flip(*run[:3]), *(flip(*run[3:]) if image else run[3:]))
+                for run in reversed(list(packed(rule, image, n, start)))]
+
+    # members and pairs walk slots.packed, so every consumer's walk is reversed, member by member
     for module in (slots, cli, counting):
         monkeypatch.setattr(module, "packed", backward)
     assert list(members(F0, 8)) == forward[::-1]
@@ -215,9 +220,22 @@ def test_export_walks_each_level_once(monkeypatch, capsys, tmp_path):
     assert Counter(walks) == Counter(grades + [(COLLECTION, None, None)])
 
 
+def run_members(runs, image):
+    """(word, dims, qword, qdims) of each member of the runs in walk order, after checking
+    that nothing lies past a run's last copy and that its image side has as many copies."""
+    out = []
+    for W, word, dims, V, qword, qdims in runs:
+        got, rest = copies(W, word, dims)
+        assert rest == 0 and (len(qdims) == len(dims) if image else (V, qword, qdims) == (None,) * 3)
+        images, qrest = copies(V, qword, qdims) if image else ([(None, None)] * len(dims), 0)
+        assert qrest == 0
+        out.extend((*P, *Q) for P, Q in zip(got, images))
+    return out
+
+
 def test_the_packed_walk_keeps_the_stack_walk_order():
     # against the walk over Subspaces that runs first_slot at every node and the row step
-    # for every step: the same members, images and pivot masks, in the same order
+    # for every step: the same members, images, words and dims, in the same order
     for D in range(0, 15, 2):
         for rule, image in ((F0, None), (F1, None), (COLLECTION, None), (F1, F0), (COLLECTION, F0)):
             for start in (None, *range(-2, D + 3)):
@@ -225,18 +243,20 @@ def test_the_packed_walk_keeps_the_stack_walk_order():
                 assert list(pairs(rule, image, D, start)) == want, (D, rule, image, start)
                 assert list(members(rule, D, start)) == [E for E, _ in want], (D, rule, start)
                 words = [(*pack(E.rows, D), *(pack(Q.rows, D) if image else (None, None))) for E, Q in want]
-                assert list(packed(rule, image, D, start)) == words, (D, rule, image, start)
+                assert run_members(packed(rule, image, D, start), image) == words, (D, rule, image, start)
 
 
 def test_the_leaf_strings_are_the_joined_basis_strings():
-    # one format call on each packed word under its sentinel, for every rule and start; and
-    # the grades that export and enumerate lay out, each leaf string with its grade, in canonical order
+    # one format call on each run's word under its sentinel, member c the D * dims[c] chars at
+    # W * c, for every rule and start; and the grades that export and enumerate lay out, each
+    # leaf string with its grade, in canonical order
     kinds = (("f0", F0, None), ("f1", F1, None), ("lagrangian", F0, 0), ("collection", COLLECTION, None))
     for D in range(0, 15, 2):
         for rule in (F0, F1, COLLECTION):
             for start in (None, *range(0, D + 1, 2)):
-                words = packed(rule, None, D, start)
-                leaves = [format(P | 1 << D * pivots.bit_count(), "b")[:0:-1] for P, pivots, _, _ in words]
+                runs = [(W, format(word | 1 << W * len(dims), "b")[:0:-1], dims)
+                        for W, word, dims, *_ in packed(rule, None, D, start)]
+                leaves = [s[W * c:W * c + D * k] for W, s, dims in runs for c, k in enumerate(dims)]
                 want = [joined(D, E.rows) for E, _ in stack_pairs(rule, None, D, start)]
                 assert leaves == want, (D, rule, start)
         for kind, rule, start in kinds if D else ():

@@ -8,9 +8,11 @@ The step builds its rows straight in canonical RREF; here it must equal the
 span of the paper's rows, and neither direction may reduce rows at all.
 """
 
+from itertools import product
+
 import pytest
 
-from _fixtures import embed, isotropic, pack, row_step, stack_pairs
+from _fixtures import copies, embed, isotropic, pack, row_step, stack_pairs
 from catspan.families import build_families, level_down, level_up
 from catspan.gf2 import Subspace, span_masks
 from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs, to_lagrangian
@@ -73,21 +75,27 @@ def test_step_equals_the_span_of_the_paper_rows():
     assert steps == 62364
 
 
-def test_packed_step_equals_the_row_step():
-    # every slot on every member of each level below, packed at its own stride and at
-    # a wider one, as the walk packs a member of V_m at the stride of the V_n it ends in
-    steps = 0
+def test_each_copy_of_the_fan_is_the_row_step():
+    # every member P of V_m below each V_D, fanned from every top slot down to slot 1 and at
+    # the top alone, packed at stride D and at a wider one, as the walk fans a member of V_m
+    # at the stride of the V_n it ends in: copy c is the row step at slot top - c, with its
+    # row count, and nothing else lies in its W bits or past the last copy
+    fanned = 0
     for D in range(2, 13, 2):
         for rule in (F0, F1, COLLECTION):
-            for P, _ in stack_pairs(rule, None, D - 2):
-                for i in range(1, D + 1):
-                    want = row_step(rule, i, P, D)
-                    assert rule.step(i, P, D) == want, (D, rule, P, i)
-                    for stride in (D, 14):
-                        got = rule.packed_step(i, *pack(P.rows, stride), stride)
-                        assert got == pack(want.rows, stride), (D, rule, P, i, stride)
-                    steps += 1
-    assert steps == 14316  # the sum over D of D * (C(D-1, D/2-1) + C(D-1, D/2-2) + Cat_{D/2})
+            for m in range(0, D - 1, 2):
+                for P, _ in stack_pairs(rule, None, m):
+                    for top in range(1, m + 3):
+                        for bottom, stride in product((1, top), (D, 14)):
+                            W, word, dims = rule.fan(top, *pack(P.rows, stride), stride, bottom)
+                            assert W == stride * (P.dim + 1) and len(dims) == top - bottom + 1
+                            want = [row_step(rule, top - c, P, m + 2) for c in range(len(dims))]
+                            got, rest = copies(W, word, dims)
+                            assert got == [pack(E.rows, stride) for E in want], (D, rule, P, top, bottom)
+                            assert rest == 0, (D, rule, P, top, bottom)
+                            fanned += len(dims)
+                    assert all(rule.step(i, P, m + 2) == row_step(rule, i, P, m + 2) for i in range(1, m + 3))
+    assert fanned == 255600  # the copies over all D, rule, P, top, bottom and stride
 
 
 def test_slot_steps_never_reduce_rows(monkeypatch):
