@@ -76,7 +76,7 @@ def _grades(kind: str, n: int) -> Iterator[tuple[int, Iterator[str]]]:
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
     key = (lambda s: (len(s), s)) if kind == "collection" else None
     for m in starts:  # no name holds a sorted start, so it is freed before the next is sorted
-        words = (s[W * c:W * c + n * k] for W, word, dims, *_ in packed(rule, None, n, m)
+        words = (s[W * c:W * c + n * k] for W, word, dims in packed(rule, n, m)
                  for s in [format(word | 1 << W * len(dims), "b")[:0:-1]] for c, k in enumerate(dims))
         for length, grade in groupby(sorted(words, key=key), len):
             yield length // n, grade

@@ -63,7 +63,7 @@ def grades(rule: Rule, D: int) -> tuple[int, ...]:
     """Members of the level in V_D per dimension 0..D, the dims of one packed walk's
     runs; cached at D + 1 integers, so the count rows and verify's surjectivity share it."""
     tally = Counter()
-    for _, _, dims, *_ in packed(rule, None, D):
+    for _, _, dims in packed(rule, D):
         tally.update(dims)
     return tuple(tally[k] for k in range(D + 1))
 

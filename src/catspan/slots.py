@@ -43,11 +43,12 @@ is the zero of V_0.  The count over first slots then gives Cat_{D/2+1}
 (tested for every even D <= 200), the whole collection by the arc bijection.
 A member's peel is D/2 slots, the level-0 peel of its Lagrangian image.
 
-Lockstep.  As C's canonical parent is P, peel(step(i, P)) = [i] + peel(P).
-So level_down(F1.step(i, P)) == F0.step(i, level_down(P)): the f1 walk from
-the base of V_m and the f0 walk from the zero of V_m take the same slots, as
-do the collection walk and its Lagrangian images from the zero of V_0, and
-packed() carries the image down the walk, one step a member.
+Lockstep.  The walk's shape depends only on its roots, not on the rows: under every
+rule a root of V_m has children at slots 1..m + 2, and a child at slot i at 1..i + 1.
+So the f1 walk from the base of V_m and the f0 walk from the zero of V_m take the same
+slots, as do the collection walk and the f0 walk from the zero of V_0.  As C's parent
+is P, peel(step(i, P)) = [i] + peel(P), so level_down(F1.step(i, P)) == F0.step(i,
+level_down(P)): pairs() zips the two walks, strictly, into each member and its image.
 
 Packed words and runs.  packed() holds a member of V_m with k rows as one int, row j
 of its canonical rows at bit n * j for the V_n it walks to (m <= n, so each row fits
@@ -62,7 +63,7 @@ nothing stays whole.  A child's first slot is its own slot (see above), so each
 stack entry carries the top slot of its children, and first_slot runs only at the
 roots.  Inner nodes cut their fan into children by shift and mask; a node of
 V_{n-2} yields its fan whole, a run of leaves with each copy's row count in dims.
-export formats each run once, and members() and pairs() unpack each member once.
+export formats each run once, and members() unpacks each member once.
 """
 
 from __future__ import annotations
@@ -149,46 +150,44 @@ def _unpack(P: int, k: int, n: int) -> Subspace:
     return Subspace._make((n, tuple([P >> n * j & full for j in range(k)])))
 
 
-def packed(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
-    """Runs (W, word, dims, V, qword, qdims) of the members of the level in V_n, each once, from
-    a depth-first walk over canonical parents from the roots: the fan of a node of V_{n-2}, or
-    a root of V_n, copy c at bit W * c.  V, qword and qdims fan image's base in lockstep (see
-    above), or are None with image None.  With a start m, only the tree under the base of V_m."""
+def _roots(rule: Rule, n: int, start: int | None) -> list[Subspace]:
+    """The level's roots: each base of V_m that no slot fits, m <= n and m = start if given, rising."""
     check_even(n)
-    none = (None, None, None)
-    # (m, top, P, k, Q, qk): a node of V_m with k rows whose children take slots 1..top, every slot at a root
-    stack = [(m, m + 2, *_pack(B.rows, n), *(_pack(image.base(m).rows, n) if image else (None, None)))
-             for m in range(2 * rule.full_base, n + 1, 2)
-             if start in (None, m) and first_slot(B := rule.base(m), rule) is None]
+    return [B for m in range(2 * rule.full_base, n + 1, 2)
+            if start in (None, m) and first_slot(B := rule.base(m), rule) is None]
+
+
+def packed(rule: Rule, n: int, start: int | None = None) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Runs (W, word, dims) of the members of the level in V_n, each once, from a depth-first walk
+    over canonical parents from the roots, the last first: the fan of a node of V_{n-2}, or a root
+    of V_n, copy c at bit W * c.  With a start m, only the tree under the base of V_m."""
+    # (m, top, P, k): a node of V_m with k rows whose children take slots 1..top, every slot at a root
+    stack = [(B.n, B.n + 2, *_pack(B.rows, n)) for B in _roots(rule, n, start)]
     while stack:
-        m, top, P, k, Q, qk = stack.pop()
+        m, top, P, k = stack.pop()
         if m == n:  # a root of V_n, a run of one
-            yield n * (k + 1), P, (k,), *((n * (qk + 1), Q, (qk,)) if image else none)
+            yield n * (k + 1), P, (k,)
             continue
-        W, word, dims, V, qword, qdims = run = (*rule.fan(top, P, k, n), *(image.fan(top, Q, qk, n) if image else none))
+        W, word, dims = run = rule.fan(top, P, k, n)
         if m + 2 == n:
             yield run
             continue
         # copy c has slot i = top - c, its first slot, so its children take slots 1..i + 1; copy 0 pops first
-        mask, qmask = (1 << W) - 1, image and (1 << V) - 1
-        stack.extend((m + 2, top - c + 1, word >> W * c & mask, dims[c], image and qword >> V * c & qmask,
-                      image and qdims[c]) for c in range(len(dims) - 1, -1, -1))
+        mask = (1 << W) - 1
+        stack.extend((m + 2, top - c + 1, word >> W * c & mask, dims[c]) for c in range(len(dims) - 1, -1, -1))
 
 
 def members(rule: Rule, n: int, start: int | None = None) -> Iterator[Subspace]:
-    """Every member of the level in V_n, each once, in packed's order.  With a
-    start m, only the tree under the base of V_m if it is a root: at levels 0
-    and 1, where every slot adjoins e_i, the one grade (n - m)/2 + full_base."""
-    return (E for E, _ in pairs(rule, None, n, start))
+    """Each member of the level in V_n once, in packed's order.  With a start m, only the tree under the
+    base of V_m if it is a root: at levels 0 and 1, where every slot adjoins e_i, the grade (n - m)/2 + full_base."""
+    return (_unpack(word >> W * c, k, n) for W, word, dims in packed(rule, n, start) for c, k in enumerate(dims))
 
 
-def pairs(rule: Rule, image: Rule | None, n: int, start: int | None = None) -> Iterator[tuple]:
-    """(E, the member of image that E's slots build from image's base) for each E of
-    members(rule, n, start), in its order, each unpacked from its run once; the image
-    is None with image None."""
-    for W, word, dims, V, qword, qdims in packed(rule, image, n, start):
-        for c, k in enumerate(dims):
-            yield _unpack(word >> W * c, k, n), image and _unpack(qword >> V * c, qdims[c], n)
+def pairs(rule: Rule, image: Rule, n: int, start: int | None = None) -> Iterator[tuple[Subspace, Subspace]]:
+    """(E, the member of image that E's slots build from image's base) for each E of members(rule, n,
+    start), in its order: rule's and image's walks from each root of rule, zipped strictly (see above)."""
+    for B in reversed(_roots(rule, n, start)):
+        yield from zip(members(rule, n, B.n), members(image, n, B.n), strict=True)
 
 
 def first_slot(E: Subspace | tuple, rule: Rule) -> int | None:

@@ -5,11 +5,11 @@ A check's body returns its first counterexample in full as text, or None
 when the identity holds; _check names it, keeps its oracle cap as check.cap
 and makes the public check, which returns a CheckResult.  Levels come from
 slots.members.  level-bijection and lagrangian-correspondence take each image
-from slots.pairs, which steps level 0 down the source walk; the inverse map's
-peel, the round trip, the line test and the containment clauses stay its
-witnesses.  These checks are the one implementation of each identity, run on
-demand and by the acceptance gate at scale; tests/test_verify.py plants a fault
-under each to show that it can fail, and the unit tests keep their own loops.
+from slots.pairs, the source walk zipped with the level-0 walk from each root;
+the inverse map's peel, the round trip, the line test and the containment
+clauses stay its witnesses.  These checks are the one implementation of each
+identity, run on demand and by the acceptance gate at scale; tests/test_verify.py
+plants a fault under each to show that it can fail, and the unit tests keep their own loops.
 """
 
 from __future__ import annotations

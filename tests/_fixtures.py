@@ -17,7 +17,9 @@ reference for the leaf strings that export slices from each formatted run;
 lines_in lists a subspace's lines by row reduction, the half of
 classify_by_span that classify_by_lines skips; fingerprint_by_containment
 is the matcher's fingerprint by pairwise contains_subspace tests, the
-reference for its vector-set masks.
+reference for its vector-set masks.  prefix_model is a second model of f0
+and f1 that uses no slot rule: the spans of the prefix differences over the
+noncrossing matchings of the points 0..D that prefix_matchings lists.
 """
 
 from functools import lru_cache
@@ -74,6 +76,36 @@ def stack_pairs(rule, image, n, start=None):
         m = P.n + 2
         top = m if f is None else f + 1
         stack.extend((row_step(rule, i, P, m), image and row_step(image, i, Q, m)) for i in range(1, top + 1))
+
+
+def prefix_matchings(D):
+    """(arcs, unmatched) for each noncrossing partial matching of the points 0..D in which no
+    unmatched point lies under an arc: a point is left unmatched only when no arc is open."""
+    def grow(p, opened, arcs, free):
+        if len(opened) > D + 1 - p:  # too few points left to close every open arc
+            return
+        if p > D:
+            yield arcs, free
+            return
+        if not opened:
+            yield from grow(p + 1, opened, arcs, free + (p,))
+        yield from grow(p + 1, opened + (p,), arcs, free)
+        if opened:
+            yield from grow(p + 1, opened[:-1], arcs + ((opened[-1], p),), free)
+    return grow(0, (), (), ())
+
+
+def prefix_model(D):
+    """The levels f0 and f1 of V_D as sets, from prefix_matchings alone, with no slot rule:
+    with P_b = e_1 + ... + e_b, f0 is the span of P_i + P_j over the arcs (i, j), and f1 adds
+    P_a + P_b for the first and last unmatched points a, b, where at least three are unmatched."""
+    f0, f1 = set(), set()
+    for arcs, free in prefix_matchings(D):
+        runs = [(1 << i) - 1 ^ (1 << j) - 1 for i, j in arcs]
+        f0.add(span_masks(runs, D))
+        if len(free) >= 3:
+            f1.add(span_masks(runs + [(1 << free[0]) - 1 ^ (1 << free[-1]) - 1], D))
+    return f0, f1
 
 
 def pack(rows, n):

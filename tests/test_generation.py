@@ -8,14 +8,17 @@ the peel takes; and the count over first slots must give the closed forms
 and the Catalan numbers far past any size the tables reach.  The walk starts
 from the roots, the bases that no slot fits; the collection's one root is
 the zero of V_0, which makes its tree the Lagrangian tree.  No output may
-depend on the order of the walk.
+depend on the order of the walk.  f0 and f1 must also equal a second model
+that uses no slot rule, the noncrossing prefix matchings.
 """
 
 import math
 from collections import Counter
 from itertools import chain
 
-from _fixtures import copies, joined, pack, stack_pairs
+import pytest
+
+from _fixtures import copies, joined, pack, prefix_model, stack_pairs
 from catspan import cli, conjecture, counting, families, noncrossing, slots, verify
 from catspan.conjecture import SuppliedFamily
 from catspan.counting import catalan
@@ -156,11 +159,11 @@ def test_no_output_depends_on_the_walk_order(monkeypatch, capsys, tmp_path):
         got, _ = copies(W, word, dims)
         return W, sum(P << W * c for c, (P, _) in enumerate(reversed(got))), dims[::-1]
 
-    def backward(rule, image, n, start=None):  # forwards the start, so one start's walk is reversed too
-        return [(*flip(*run[:3]), *(flip(*run[3:]) if image else run[3:]))
-                for run in reversed(list(packed(rule, image, n, start)))]
+    def backward(rule, n, start=None):  # forwards the start, so one start's walk is reversed too
+        return [flip(*run) for run in reversed(list(packed(rule, n, start)))]
 
-    # members and pairs walk slots.packed, so every consumer's walk is reversed, member by member
+    # members walks slots.packed, and pairs zips two members walks, so every consumer's walk is
+    # reversed, member by member
     for module in (slots, cli, counting):
         monkeypatch.setattr(module, "packed", backward)
     assert list(members(F0, 8)) == forward[::-1]
@@ -181,7 +184,29 @@ def test_pairs_carry_each_image_down_the_walk():
                 assert [E for E, _ in walk] == list(members(rule, D, start)), (D, rule, start)
                 assert all(Q == to_image(E) for E, Q in walk), (D, rule, start)
                 assert len({Q for _, Q in walk}) == len(walk), (D, rule, start)
-        assert all(Q is None for _, Q in pairs(F0, None, D)), D
+
+
+
+def test_pairs_never_truncate(monkeypatch):
+    # the image walk from one root drops its last member: pairs raises rather than cut
+    # the source walk from that root to the shorter length
+    walk = slots.members
+
+    def short(rule, n, start=None):
+        got = list(walk(rule, n, start))
+        return got[:-1] if (rule, start) == (F0, 4) else got
+
+    monkeypatch.setattr(slots, "members", short)
+    with pytest.raises(ValueError):
+        list(pairs(F1, F0, 8))
+
+
+def test_the_walk_equals_the_prefix_matching_model():
+    # a second model with no slot rule: f0 and f1 from the noncrossing prefix matchings
+    for D in range(0, 15, 2):
+        f0, f1 = prefix_model(D)
+        assert set(members(F0, D)) == f0, D
+        assert set(members(F1, D)) == f1, D
 
 
 def test_one_start_is_one_grade():
@@ -207,43 +232,43 @@ def test_export_walks_each_level_once(monkeypatch, capsys, tmp_path):
     # once; and no second walk for the counts
     walks = []
 
-    def recorded(rule, image, n, start=None):
-        walks.append((rule, image, start))
-        return packed(rule, image, n, start)
+    def recorded(rule, n, start=None):
+        walks.append((rule, start))
+        return packed(rule, n, start)
 
     for module in (slots, cli, counting):
         monkeypatch.setattr(module, "packed", recorded)
     counting.grades.cache_clear()
     assert cli.main(["export", "--D", "8", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    grades = [(F0, None, m) for m in range(0, 9, 2)] + [(F1, None, m) for m in range(2, 9, 2)]
-    assert Counter(walks) == Counter(grades + [(COLLECTION, None, None)])
+    grades = [(F0, m) for m in range(0, 9, 2)] + [(F1, m) for m in range(2, 9, 2)]
+    assert Counter(walks) == Counter(grades + [(COLLECTION, None)])
 
 
-def run_members(runs, image):
-    """(word, dims, qword, qdims) of each member of the runs in walk order, after checking
-    that nothing lies past a run's last copy and that its image side has as many copies."""
+def run_members(runs):
+    """(word, dims) of each member of the runs in walk order, after checking that nothing
+    lies past a run's last copy."""
     out = []
-    for W, word, dims, V, qword, qdims in runs:
+    for W, word, dims in runs:
         got, rest = copies(W, word, dims)
-        assert rest == 0 and (len(qdims) == len(dims) if image else (V, qword, qdims) == (None,) * 3)
-        images, qrest = copies(V, qword, qdims) if image else ([(None, None)] * len(dims), 0)
-        assert qrest == 0
-        out.extend((*P, *Q) for P, Q in zip(got, images))
+        assert rest == 0
+        out.extend(got)
     return out
 
 
 def test_the_packed_walk_keeps_the_stack_walk_order():
     # against the walk over Subspaces that runs first_slot at every node and the row step
-    # for every step: the same members, images, words and dims, in the same order
+    # for every step: the same members, words and dims, in the same order; and the same
+    # images from the zipped walks
     for D in range(0, 15, 2):
         for rule, image in ((F0, None), (F1, None), (COLLECTION, None), (F1, F0), (COLLECTION, F0)):
             for start in (None, *range(-2, D + 3)):
                 want = list(stack_pairs(rule, image, D, start))
-                assert list(pairs(rule, image, D, start)) == want, (D, rule, image, start)
+                if image:
+                    assert list(pairs(rule, image, D, start)) == want, (D, rule, image, start)
+                    continue
                 assert list(members(rule, D, start)) == [E for E, _ in want], (D, rule, start)
-                words = [(*pack(E.rows, D), *(pack(Q.rows, D) if image else (None, None))) for E, Q in want]
-                assert run_members(packed(rule, image, D, start), image) == words, (D, rule, image, start)
+                assert run_members(packed(rule, D, start)) == [pack(E.rows, D) for E, _ in want], (D, rule, start)
 
 
 def test_the_leaf_strings_are_the_joined_basis_strings():
@@ -255,7 +280,7 @@ def test_the_leaf_strings_are_the_joined_basis_strings():
         for rule in (F0, F1, COLLECTION):
             for start in (None, *range(0, D + 1, 2)):
                 runs = [(W, format(word | 1 << W * len(dims), "b")[:0:-1], dims)
-                        for W, word, dims, *_ in packed(rule, None, D, start)]
+                        for W, word, dims in packed(rule, D, start)]
                 leaves = [s[W * c:W * c + D * k] for W, s, dims in runs for c, k in enumerate(dims)]
                 want = [joined(D, E.rows) for E, _ in stack_pairs(rule, None, D, start)]
                 assert leaves == want, (D, rule, start)
