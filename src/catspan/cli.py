@@ -24,7 +24,7 @@ SUBSPACE_MAPS = {
     "unlagrangian": from_lagrangian,
 }
 MAP_OPS = ("span-arcs", *SUBSPACE_MAPS, "decompose")
-CHUNK = 256  # subspaces laid out and written at once; only one chunk and one sorted grade are alive
+CHUNK = 256  # members of one grade laid out and written at once; only one chunk and one sorted grade are alive
 
 
 def _even(value: str) -> int:
@@ -66,12 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grades(kind: str, n: int) -> Iterator[tuple[int, Iterator[str]]]:
-    """(k, its members' joined basis strings) for each grade k of a subspace level, in canonical
-    order.  A run's rows come joined from one format call on its word, member c the n * dims[c]
-    chars at W * c, and joined strings of one length n * k sort as subspace_key; a start m of
-    f0, f1 or lagrangian is one grade, sorted alone, and the collection's one start sorts by
-    (length, string)."""
+def _grades(kind: str, n: int) -> Iterator[tuple[int, Iterator]]:
+    """(k, its members) for each grade k of a table, in canonical order.  The arc sets stream in
+    that order, grade by grade; a subspace's member is its joined basis string.  A run's rows come
+    joined from one format call on its word, member c the n * dims[c] chars at W * c, and joined
+    strings of one length n * k sort as subspace_key; a start m of f0, f1 or lagrangian is one
+    grade, sorted alone, and the collection's one start sorts by (length, string)."""
+    if kind == "arcs":
+        yield from groupby(enumerate_noncrossing(n), len)
+        return
     rule = {"f0": F0, "f1": F1, "lagrangian": F0, "collection": COLLECTION}[kind]
     starts = {"collection": [None], "lagrangian": [0]}.get(kind, range(n, 2 * rule.full_base - 1, -2))
     key = (lambda s: (len(s), s)) if kind == "collection" else None
@@ -103,39 +106,33 @@ def _layout(parts: list[str], n: int, k: int, words: list[str]) -> bytearray:
     return out
 
 
+# a grade-k arc set's entry in each format: head, arc separator, tail, the empty set's entry and one arc's text
+ARC_PARTS = {"csv": ("{n},arcs,{k},", "|", "\n", "{n},arcs,0,\n", "%d-%d"),
+             "text": ("s={k} arcs=", " ", "\n", "s=0 arcs=-\n", "(%d,%d)"),
+             "json": (", [", ", ", "]", ", []", "[%d, %d]"),
+             "export": (",\n    [\n      ", ",\n      ", "\n    ]", ",\n    []",
+                        "[\n        %d,\n        %d\n      ]")}
+
+
+def _join(parts: list[str], n: int, k: int, sets: list[ArcSequence]) -> bytes:
+    """The entries of sets, grade-k arc sets: each arc's text is formatted once, then joined per set."""
+    head, sep, tail, zero, arc = parts
+    texts = {x: arc % x for x in set().union(*sets)}
+    return "".join([head + sep.join([texts[x] for x in seq]) + tail if k else zero for seq in sets]).encode()
+
+
 def _csv_header(kind: str) -> str:
     return "D,kind,s,arcs\n" if kind == "arcs" else "D,kind,dim,basis\n"
 
 
-def _line(fmt: str, n: int, seq: ArcSequence) -> str:
-    """An arc set's csv or text line; no csv cell holds a comma, a quote or a line break, so none is quoted."""
-    if fmt == "csv":
-        return f"{n},arcs,{len(seq)},{'|'.join(f'{a}-{b}' for a, b in seq)}\n"
-    return f"s={len(seq)} arcs={' '.join(f'({a},{b})' for a, b in seq) or '-'}\n"
-
-
-def _json_member(fmt: str, n: int, seq: ArcSequence) -> str:
-    """An arc set's json entry after the separator from the entry before it, as json.dumps
-    lays it out, or json.dump(..., indent=2) in a list under a top-level key (export)."""
-    if fmt == "json":
-        return f", {json.dumps(seq.to_json())}"
-    arcs = ",\n      ".join(f"[\n        {a},\n        {b}\n      ]" for a, b in seq)
-    return f",\n    [\n      {arcs}\n    ]" if seq else ",\n    []"
-
-
 def _entries(kind: str, n: int, fmts: tuple[str, ...], grade: int | None = None) -> Iterator[tuple]:
-    """(grade, member count, their entries in each of fmts) for one level in canonical order:
-    an arc set alone, or up to CHUNK subspaces of one grade laid out at once."""
-    if kind == "arcs":
-        for seq in enumerate_noncrossing(n):
-            if grade in (None, len(seq)):
-                yield len(seq), 1, [(_line if fmt in ("csv", "text") else _json_member)(fmt, n, seq).encode()
-                                    for fmt in fmts]
-        return
-    for k, words in _grades(kind, n):
-        parts = [[part.format(n=n, kind=kind, k=k) for part in PARTS[fmt]] for fmt in fmts]
-        while grade in (None, k) and (chunk := list(islice(words, CHUNK))):
-            yield k, len(chunk), [_layout(p, n, k, chunk) for p in parts]
+    """(grade, member count, their entries in each of fmts) for one table in canonical order, up to
+    CHUNK members of one grade at a time: subspaces laid out in strided copies, arc sets joined."""
+    table, layout = (ARC_PARTS, _join) if kind == "arcs" else (PARTS, _layout)
+    for k, members in _grades(kind, n):
+        parts = [[part.format(n=n, kind=kind, k=k) for part in table[fmt]] for fmt in fmts]
+        while grade in (None, k) and (chunk := list(islice(members, CHUNK))):
+            yield k, len(chunk), [layout(p, n, k, chunk) for p in parts]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

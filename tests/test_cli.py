@@ -217,16 +217,18 @@ def test_layout_matches_one_entry_at_a_time(fmt):
 
 def test_chunk_edges_keep_every_output(capsys, tmp_path, monkeypatch):
     # chunks of 3 split grades of 2, 3 and 4 members short, exactly and one past an edge,
-    # and every export key's first member opens a chunk
+    # and every export key's first member opens a chunk; at D = 8 an arc grade of 10 = 3 * 3 + 1
+    # members is one past an edge
     monkeypatch.setattr(cli, "CHUNK", 3)
-    sizes = Counter(sum(1 for _ in words) for n in (2, 4, 6) for kind in ("f0", "f1", "collection")
-                    for _, words in cli._grades(kind, n))
+    sizes = Counter(sum(1 for _ in members) for n in (2, 4, 6, 8) for kind in ("f0", "f1", "collection", "arcs")
+                    for _, members in cli._grades(kind, n))
     assert sizes[2] and sizes[3] and sizes[4]
-    for n in (2, 4, 6):
+    assert [sum(1 for _ in sets) for _, sets in cli._grades("arcs", 8)] == [1, 10, 20, 10, 1]
+    for n in (2, 4, 6, 8):
         out_dir = tmp_path / str(n)
         assert run(capsys, "export", "--D", str(n), "--out", str(out_dir))[0] == 0
         assert {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()} == reference_export(n), n
-        for kind in ("f0", "f1", "lagrangian", "collection"):
+        for kind in ("f0", "f1", "lagrangian", "collection", "arcs"):
             members = reference_members(kind, n)
             for fmt in ("json", "csv", "text"):
                 for grade in (None, 1):
@@ -563,9 +565,8 @@ def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
             return render(*args)
         return wrapper
 
-    # the arc sets alone are rendered one at a time; subspaces are laid out a grade at a time
-    for name in ("_line", "_json_member"):
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    # the arc sets, like the subspaces, are laid out a chunk of one grade at a time
+    monkeypatch.setattr(cli, "_join", counting("_join", cli._join))
     monkeypatch.setattr(gf2.Subspace, "_make", classmethod(counting_make))
     monkeypatch.setattr(gf2.Subspace, "__new__", counting_new)
     monkeypatch.setattr(gf2, "mask_to_string", counting_mask_to_string)
@@ -574,7 +575,7 @@ def test_export_renders_each_row_once(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "export", "--D", "8", "--out", str(tmp_path / "out"))
     assert code == 0
     assert calls["mask_to_string"] == 0
-    assert calls["_line"] == calls["_json_member"] == 42  # Cat_5 arc sets at D = 8
+    assert calls["_join"] == 5 * 2  # once per grade and format at D = 8, not once per Cat_5 = 42 arc sets
     # at most the base of each V_0..V_8 per subspace table, read to find the roots
     assert calls["Subspace"] <= 3 * (8 // 2 + 1)
 
