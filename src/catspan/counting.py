@@ -34,14 +34,14 @@ def narayana(n: int, p: int) -> int:
     return num // n
 
 
-def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
+def gaussian_binomial(n: int, k: int) -> int:
+    """Number of k-dimensional subspaces of an n-dimensional space over GF(2)."""
     if k < 0 or k > n:
         return 0
     num = den = 1
     for j in range(k):
-        num *= q ** (n - j) - 1
-        den *= q ** (j + 1) - 1
+        num *= 2 ** (n - j) - 1
+        den *= 2 ** (j + 1) - 1
     if num % den:
         raise ArithmeticError(f"gaussian_binomial({n}, {k}) is not integral")
     return num // den

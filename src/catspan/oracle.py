@@ -57,9 +57,8 @@ def _row_values(n: int, p: int, pivots: tuple[int, ...]) -> list[int]:
     return values
 
 
-def _patterns(n: int, budget: OracleBudget | None) -> Iterator[list[list[int]]]:
+def _patterns(n: int, budget: OracleBudget) -> Iterator[list[list[int]]]:
     """Each pivot pattern's row factors, last row first; raises at the call."""
-    budget = budget or OracleBudget()
     if n < 0:
         raise ValueError(f"ambient dimension must be >= 0, got {n}")
     if n > budget.max_dim:
@@ -71,17 +70,17 @@ def _patterns(n: int, budget: OracleBudget | None) -> Iterator[list[list[int]]]:
     )
 
 
-def cells(n: int, budget: OracleBudget | None = None) -> Iterator[tuple[int, ...]]:
+def cells(n: int, budget: OracleBudget = OracleBudget()) -> Iterator[tuple[int, ...]]:
     """Canonical rows of every subspace of V_n, by dimension; raises at the call."""
     return (rows[::-1] for factors in _patterns(n, budget) for rows in product(*factors))
 
 
-def all_subspaces(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
+def all_subspaces(n: int, budget: OracleBudget = OracleBudget()) -> list[Subspace]:
     """Every subspace of an n-dimensional space, in `cells` order."""
     return [Subspace._make((n, rows)) for rows in cells(n, budget)]
 
 
-def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
+def all_isotropic(n: int, budget: OracleBudget = OracleBudget()) -> list[Subspace]:
     """Every isotropic subspace of V_n, in `cells` order.
 
     Per pivot pattern the rows are chosen in `product` order, last row first,
@@ -104,9 +103,8 @@ def all_isotropic(n: int, budget: OracleBudget | None = None) -> list[Subspace]:
     return out
 
 
-def noncrossing_direct(n: int, budget: OracleBudget | None = None) -> list[ArcSequence]:
+def noncrossing_direct(n: int, budget: OracleBudget = OracleBudget()) -> list[ArcSequence]:
     """Noncrossing arc sets by filtering the full power set of arcs."""
-    budget = budget or OracleBudget()
     check_even(n)
     if n > budget.max_odd_dim:
         raise ValueError(f"ambient dimension {n} exceeds oracle budget {budget.max_odd_dim}")

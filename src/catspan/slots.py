@@ -183,10 +183,10 @@ def members(rule: Rule, n: int, start: int | None = None) -> Iterator[Subspace]:
     return (_unpack(word >> W * c, k, n) for W, word, dims in packed(rule, n, start) for c, k in enumerate(dims))
 
 
-def pairs(rule: Rule, image: Rule, n: int, start: int | None = None) -> Iterator[tuple[Subspace, Subspace]]:
-    """(E, the member of image that E's slots build from image's base) for each E of members(rule, n,
-    start), in its order: rule's and image's walks from each root of rule, zipped strictly (see above)."""
-    for B in reversed(_roots(rule, n, start)):
+def pairs(rule: Rule, image: Rule, n: int) -> Iterator[tuple[Subspace, Subspace]]:
+    """(E, the member of image that E's slots build from image's base) for each E of members(rule, n),
+    in its order: rule's and image's walks from each root of rule, zipped strictly (see above)."""
+    for B in reversed(_roots(rule, n, None)):
         yield from zip(members(rule, n, B.n), members(image, n, B.n), strict=True)
 
 

@@ -25,7 +25,7 @@ from .gf2 import is_isotropic, subspace_key
 from .noncrossing import (Arc, ArcSequence, arcs_of, decompose, enumerate_noncrossing, extend_seq, from_lagrangian,
                           is_noncrossing, odd_arcs, seq_key, shift_arc, span_arcs)
 from .slots import COLLECTION, F0, F1, members, pairs
-from . import oracle as oracle_mod
+from .oracle import OracleBudget, all_isotropic, cells, noncrossing_direct
 
 __all__ = ["CheckResult", "run_checks", "ORACLE_CHECKS"]
 
@@ -83,10 +83,10 @@ def _onto(n: int, count: int, rule, dims, images) -> str | None:
     if count == sum(grades(rule, n)[k] for k in dims):
         return None
     hit = set(images)
-    missed = _canonical(E for E in members(rule, n) if E.dim in dims and E not in hit)
-    if not missed:  # every target member is hit, so the source walk repeats one
+    missed = min((E for E in members(rule, n) if E.dim in dims and E not in hit), key=subspace_key, default=None)
+    if missed is None:  # every target member is hit, so the source walk repeats one
         return f"not injective: {count} members, {len(hit)} images"
-    return f"not surjective, missed {missed[0].to_json()}"
+    return f"not surjective, missed {missed.to_json()}"
 
 
 @_check("families-isotropic")
@@ -99,7 +99,7 @@ def check_families_isotropic(n: int, *, order) -> str | None:
             return f"non-isotropic member {E.to_json()}"
         hits += E in f1
     if hits > len(f1):
-        clash = _canonical(E for E in members(F0, n) if E in f1)[0]
+        clash = min((E for E in members(F0, n) if E in f1), key=subspace_key)
         return f"levels overlap at {clash.to_json()}"
 
 
@@ -221,21 +221,21 @@ def check_inductive_closure(n: int) -> str | None:
         generated = {ArcSequence(), *(extend_seq(i, x, m) for i in range(1, m + 1) for x in generated)}
     direct = set(enumerate_noncrossing(n))
     if generated != direct:
-        diff = sorted(generated ^ direct, key=seq_key)[0]
+        diff = min(generated ^ direct, key=seq_key)
         return f"sets differ at {diff.to_json()}"
 
 
 @_check("oracle-noncrossing", "max_odd_dim")
-def check_oracle_noncrossing(n: int, budget: oracle_mod.OracleBudget | None = None) -> str | None:
-    direct = oracle_mod.noncrossing_direct(n, budget)
+def check_oracle_noncrossing(n: int, budget: OracleBudget = OracleBudget()) -> str | None:
+    direct = noncrossing_direct(n, budget)
     fast = list(enumerate_noncrossing(n))
     if direct != fast:
         return f"{len(direct)} filtered vs {len(fast)} enumerated"
 
 
 @_check("oracle-subspace-counts", "max_dim")
-def check_oracle_subspace_counts(n: int, budget: oracle_mod.OracleBudget | None = None) -> str | None:
-    by_dim = Counter(len(rows) for rows in oracle_mod.cells(n, budget))
+def check_oracle_subspace_counts(n: int, budget: OracleBudget = OracleBudget()) -> str | None:
+    by_dim = Counter(len(rows) for rows in cells(n, budget))
     for k in range(n + 1):
         want = gaussian_binomial(n, k)
         if by_dim[k] != want:
@@ -244,7 +244,7 @@ def check_oracle_subspace_counts(n: int, budget: oracle_mod.OracleBudget | None 
 
 @_check("oracle-families", "max_dim")
 @_sorted_on_failure
-def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None, *, order) -> str | None:
+def check_oracle_families(n: int, budget: OracleBudget = OracleBudget(), *, order) -> str | None:
     """Brute-force isotropic subspaces against the family tables.
 
     Family members must all appear isotropic and classify to their own level;
@@ -252,10 +252,10 @@ def check_oracle_families(n: int, budget: oracle_mod.OracleBudget | None = None,
     subspaces, so exactness is asserted relative to the family union.
     """
     f0 = set(members(F0, n))
-    iso = set(oracle_mod.all_isotropic(n, budget=budget))
+    iso = set(all_isotropic(n, budget=budget))
     fam = f0 | set(members(F1, n))
     if not fam <= iso:
-        missing = _canonical(fam - iso)[0]
+        missing = min(fam - iso, key=subspace_key)
         return f"family member not in brute-force list: {missing.to_json()}"
     for E in order(fam):
         kind, _ = classify_by_lines(E)
@@ -286,13 +286,12 @@ def run_checks(
     d_min: int,
     d_max: int,
     oracle: bool = False,
-    budget: oracle_mod.OracleBudget | None = None,
+    budget: OracleBudget = OracleBudget(),
 ) -> tuple[list[CountRow], list[CheckResult], list[tuple[int, str]]]:
     """Count rows plus identity checks for every even D in [d_min, d_max]; with
     oracle, the (D, check name) pairs above the check's cap come back skipped."""
     if d_min < 2 or d_min % 2 or d_max % 2 or d_max < d_min:
         raise ValueError(f"need even bounds with 2 <= D-min <= D-max, got [{d_min}, {d_max}]")
-    budget = budget or oracle_mod.OracleBudget()
     counts = []
     results = []
     skipped = []

@@ -62,8 +62,9 @@ def row_step(rule, i, P, n):
 
 
 def stack_pairs(rule, image, n, start=None):
-    """slots.pairs as a stack of Subspaces: row_step for every step, and first_slot
-    at every node for the slots its children take."""
+    """slots.pairs as a stack of Subspaces, each pair (E, None) when image is None and only the
+    tree under the base of V_start when start is given, as in slots.packed: row_step for every
+    step, and first_slot at every node for the slots its children take."""
     check_even(n)
     starts = (m for m in range(2 * rule.full_base, n + 1, 2) if start in (None, m))
     stack = [(B, image and image.base(B.n)) for B in map(rule.base, starts) if first_slot(B, rule) is None]

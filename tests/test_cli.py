@@ -282,6 +282,19 @@ def test_verify_oracle_reports_skips(capsys, monkeypatch):
     assert [line for line in out.splitlines() if "oracle" not in line] == plain.splitlines()
 
 
+def test_verify_oracle_default_caps(capsys, monkeypatch):
+    # with neither variable set, the caps are OracleBudget()'s defaults: 10 for the odd part
+    # runs oracle-noncrossing at every D here, 8 for the ambient space skips the rest at D = 10
+    for var in BUDGET_VARS.values():
+        monkeypatch.delenv(var, raising=False)
+    code, out, err = run(capsys, "verify", "--D-max", "10", "--oracle")
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert err == (
+        "skipped check_oracle_subspace_counts at D=10: above CATSPAN_ORACLE_MAX_DIM=8\n"
+        "skipped check_oracle_families at D=10: above CATSPAN_ORACLE_MAX_DIM=8\n"
+    )
+
+
 def test_verify_rejects_negative_oracle_cap(capsys, monkeypatch):
     monkeypatch.setenv("CATSPAN_ORACLE_MAX_DIM", "-5")
     code, out, err = run(capsys, "verify", "--D-max", "2", "--oracle")

@@ -39,7 +39,6 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2) == 35
     assert gaussian_binomial(5, 2) == 155
     assert gaussian_binomial(6, 3) == 1395
-    assert gaussian_binomial(4, 2, q=3) == 130
     assert gaussian_binomial(4, 5) == 0
     assert gaussian_binomial(4, -1) == 0
     for n in range(9):

@@ -5,17 +5,22 @@ D.  Here every table member must peel at its own level and no other, the
 peel must agree with the tables on every brute-force subspace that small D
 allows, and the peel-based inverse maps must equal plain table inversions.
 The step builds its rows straight in canonical RREF; here it must equal the
-span of the paper's rows, and neither direction may reduce rows at all.
+span of the paper's rows, and neither direction may reduce rows at all.  The
+maps must also be arc surgery on the noncrossing prefix matchings, a model
+with no slot rule.
 """
 
+import math
 from itertools import product
 
 import pytest
 
-from _fixtures import copies, embed, isotropic, pack, row_step, stack_pairs
+from _fixtures import copies, embed, isotropic, pack, prefix_matchings, row_step, stack_pairs
+from catspan.counting import catalan
 from catspan.families import build_families, level_down, level_up
 from catspan.gf2 import Subspace, span_masks
-from catspan.noncrossing import arcs_of, build_collection, enumerate_noncrossing, span_arcs, to_lagrangian
+from catspan.noncrossing import (Arc, ArcSequence, arcs_of, build_collection, enumerate_noncrossing, from_lagrangian,
+                                 span_arcs, to_lagrangian)
 from catspan.oracle import all_subspaces
 from catspan.slots import COLLECTION, F0, F1, peel
 
@@ -167,3 +172,26 @@ def test_inverse_maps_equal_table_inversions():
         assert set(arcs) == set(build_collection(D).members)
         for E, seq in arcs.items():
             assert arcs_of(E) == seq
+
+
+def test_the_maps_are_arc_surgery_on_the_prefix_matchings():
+    # with P_b = e_1 + ... + e_b, E0 is the span of P_i + P_j over a matching's arcs (i, j), a level-0
+    # member: level_up adds P_a + P_b for the first and last unmatched points a, b, and level_down
+    # takes it off again; with one unmatched point E0 is Lagrangian, and the matching's arcs that
+    # open at an even point i are the arc set, each as (i + 1, j)
+    for D in range(0, 13, 2):
+        counts = [0, 0]
+        for arcs, free in prefix_matchings(D):
+            runs = [(1 << i) - 1 ^ (1 << j) - 1 for i, j in arcs]
+            E0 = span_masks(runs, D)
+            if len(free) >= 3:
+                E1 = span_masks(runs + [(1 << free[0]) - 1 ^ (1 << free[-1]) - 1], D)
+                assert level_up(E0) == E1 and level_down(E1) == E0, (D, arcs)
+                counts[0] += 1
+            elif len(free) == 1:
+                C = from_lagrangian(E0)
+                assert to_lagrangian(C) == E0, (D, arcs)
+                assert arcs_of(C) == ArcSequence.of(Arc(i + 1, j) for i, j in arcs if i % 2 == 0), (D, arcs)
+                counts[1] += 1
+        # every sub-Lagrangian and every Lagrangian member of level 0, once each
+        assert counts == [math.comb(D + 1, D // 2 - 1) if D else 0, catalan(D // 2 + 1)], D

@@ -122,8 +122,8 @@ def test_marked_line_runs_from_odd_to_even(monkeypatch):
 def _images(fault):
     """slots.pairs, but the image that the walk carries with E is fault(E)."""
 
-    def walk(rule, image, n, start=None):
-        return ((E, fault(E)) for E, _ in slots.pairs(rule, image, n, start))
+    def walk(rule, image, n):
+        return ((E, fault(E)) for E, _ in slots.pairs(rule, image, n))
 
     return walk
 
@@ -162,8 +162,8 @@ def test_lagrangian_image_must_contain_its_source(monkeypatch):
 def _walk_without_first(rule):
     """slots.pairs, but the pair of the canonically first member of rule's level is dropped."""
 
-    def walk(r, image, n, start=None):
-        out = list(slots.pairs(r, image, n, start))
+    def walk(r, image, n):
+        out = list(slots.pairs(r, image, n))
         if r is rule:
             out.remove(min(out, key=lambda pair: subspace_key(pair[0])))
         return iter(out)
@@ -199,8 +199,8 @@ def test_a_dropped_source_member_is_missed(monkeypatch, check, name, fault, miss
 
 def test_a_repeated_source_member_is_not_injective(monkeypatch):
     # the left inverse holds member by member; the repeat shows in the counts
-    def walk(r, image, n, start=None):
-        out = list(slots.pairs(r, image, n, start))
+    def walk(r, image, n):
+        out = list(slots.pairs(r, image, n))
         return iter(out + out[:1] if r is slots.F1 else out)
 
     monkeypatch.setattr(verify, "pairs", walk)
