@@ -9,7 +9,7 @@ pair (a, b) that the families' lines and the collection's arcs are read by.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -33,8 +33,8 @@ def string_to_mask(s: str) -> int:
 
 
 def form_masks(a: int, b: int) -> int:
-    """Nearest-neighbour pairing of two masks: sum_i a_i*b_{i+1} + a_{i+1}*b_i."""
-    return (((a >> 1) & b).bit_count() + ((b >> 1) & a).bit_count()) & 1
+    """Nearest-neighbour pairing sum_i a_i*b_{i+1} + a_{i+1}*b_i: the form's matrix on a, dotted with b."""
+    return ((a << 1 ^ a >> 1) & b).bit_count() & 1
 
 
 def _rref(masks: Iterable[int]) -> tuple[int, ...]:
@@ -104,7 +104,7 @@ class Subspace(_Rowspace):
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {other.n} vs {self.n}")
-        return all(r in self for r in other.rows)
+        return not any(map(self.residue, other.rows))
 
     def to_json(self) -> dict:
         return {"D": self.n, "basis": [mask_to_string(r, self.n) for r in self.rows]}
@@ -161,4 +161,4 @@ def is_isotropic(E: Subspace) -> bool:
     """True when the form vanishes on E x E.  Alternating, so pairs suffice."""
     if E.n % 2:
         raise ValueError(f"ambient dimension must be even, got {E.n}")
-    return not any(form_masks(r, s) for r, s in combinations(E.rows, 2))
+    return not any(starmap(form_masks, combinations(E.rows, 2)))

@@ -45,8 +45,17 @@ class Arc(Run):
 
 def is_noncrossing(arcs: Iterable[Arc]) -> bool:
     """Pairwise disjoint or strictly nested, either way round; duplicates count as crossing."""
-    return all(x.b < y.a or y.b < x.a or x.a < y.a and y.b < x.b or y.a < x.a and x.b < y.b
-               for x, y in combinations(arcs, 2))
+    for (xa, xb), (ya, yb) in combinations(arcs, 2):
+        if not (xb < ya or yb < xa or xa < ya and yb < xb or ya < xa and xb < yb):
+            return False
+    return True
+
+
+def _uncrossed(cls: type, arcs: tuple) -> "ArcSequence":
+    """The sequence of sorted, distinct arcs, once they are checked to be noncrossing."""
+    if not is_noncrossing(arcs):
+        raise ValueError(f"arcs cross: {[(x.a, x.b) for x in arcs]}")
+    return tuple.__new__(cls, arcs)
 
 
 class ArcSequence(tuple):
@@ -57,9 +66,7 @@ class ArcSequence(tuple):
     def __new__(cls, arcs: tuple[Arc, ...] = ()) -> "ArcSequence":
         if list(arcs) != sorted(set(arcs)):
             raise ValueError("arcs must be sorted and distinct; use ArcSequence.of")
-        if not is_noncrossing(arcs):
-            raise ValueError(f"arcs cross: {[(x.a, x.b) for x in arcs]}")
-        return tuple.__new__(cls, arcs)
+        return _uncrossed(cls, arcs)
 
     def __repr__(self) -> str:
         return f"ArcSequence(arcs={tuple(self)!r})"
@@ -69,7 +76,7 @@ class ArcSequence(tuple):
         xs = sorted(arcs)
         if len(set(xs)) != len(xs):
             raise ValueError("duplicate arcs")
-        return cls(tuple(xs))
+        return _uncrossed(cls, tuple(xs))
 
     def to_json(self) -> list[list[int]]:
         return [[x.a, x.b] for x in self]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import NamedTuple
 
 from .gf2 import Subspace, check_even, form_masks
@@ -97,7 +97,7 @@ def all_isotropic(n: int, budget: OracleBudget = OracleBudget()) -> list[Subspac
                 (v,) + rows
                 for rows in chosen
                 for v in values
-                if not any(form_masks(v, r) for r in rows)
+                if not any(map(form_masks, repeat(v), rows))
             ]
         out += [Subspace._make((n, rows)) for rows in chosen]
     return out

@@ -80,6 +80,23 @@ def test_form_bilinear_random_v12():
         assert form_masks(a ^ b, c) == form_masks(a, c) ^ form_masks(b, c)
 
 
+def form_by_definition(a, b):
+    """sum_i (a_i*b_{i+1} + a_{i+1}*b_i) mod 2, bit by bit."""
+    bit = lambda m, i: m >> i & 1
+    width = max(a.bit_length(), b.bit_length())
+    return sum(bit(a, i) * bit(b, i + 1) + bit(a, i + 1) * bit(b, i) for i in range(width)) % 2
+
+
+def test_form_equals_its_defining_sum():
+    for a in range(64):
+        for b in range(64):
+            assert form_masks(a, b) == form_by_definition(a, b), (a, b)
+    rng = random.Random(34)
+    for _ in range(1000):
+        a, b = (rng.getrandbits(rng.randrange(1, 257)) for _ in range(2))
+        assert form_masks(a, b) == form_by_definition(a, b), (a, b)
+
+
 def test_form_nondegenerate_through_v8():
     for n in (2, 4, 6, 8):
         for x in range(1, 1 << n):
@@ -160,16 +177,24 @@ def test_subspace_predicates():
         E.contains_subspace(span_masks([1], 6))
 
 
+def test_contains_subspace_is_row_membership():
+    spaces = all_subspaces(4)
+    for E in spaces:
+        for F in spaces:
+            assert E.contains_subspace(F) == all(r in E for r in F.rows), (E, F)
+
+
 def test_is_isotropic_examples_and_oracle():
     assert is_isotropic(Subspace(4, ()))
     assert is_isotropic(span_masks([0b0001, 0b0100], 4))
     assert not is_isotropic(span_masks([0b0001, 0b0010], 4))
     with pytest.raises(ValueError):
         is_isotropic(span_masks([1], 3))
-    for E in all_subspaces(4):
-        xs = members(E)
-        want = all(form_masks(x, y) == 0 for x in xs for y in xs)
-        assert is_isotropic(E) == want
+    for n in (2, 4, 6):
+        for E in all_subspaces(n):
+            xs = members(E)
+            want = all(form_masks(x, y) == 0 for x in xs for y in xs)
+            assert is_isotropic(E) == want, E
 
 
 def test_subspace_serialization():

@@ -1,6 +1,7 @@
 """Noncrossing arc sets, slot shifts, and the odd-part collection."""
 
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from catspan.noncrossing import (
     extend_seq,
     from_lagrangian,
     is_noncrossing,
+    odd_arcs,
     seq_key,
     shift_arc,
     span_arcs,
@@ -45,6 +47,25 @@ def test_noncrossing_predicate():
     assert not is_noncrossing([Arc(1, 3), Arc(3, 3)])
     assert not is_noncrossing([Arc(1, 3), Arc(3, 5)])
     assert not is_noncrossing([Arc(1, 1), Arc(1, 1)])
+
+
+def pairwise_noncrossing(arcs):
+    """The definition, pair by pair: disjoint or strictly nested, either way round."""
+    return all(x.b < y.a or y.b < x.a or x.a < y.a and y.b < x.b or y.a < x.a and x.b < y.b
+               for x, y in combinations(arcs, 2))
+
+
+def test_noncrossing_predicate_is_the_pairwise_definition():
+    # every subset of the arcs of V_n, sorted, reversed and with its first arc repeated
+    calls = 0
+    for n in range(2, 11, 2):
+        arcs = odd_arcs(n)
+        for size in range(len(arcs) + 1):
+            for subset in combinations(arcs, size):
+                for xs in (subset, subset[::-1], subset[:1] + subset):
+                    assert is_noncrossing(xs) == pairwise_noncrossing(xs), xs
+                    calls += 1
+    assert calls == 3 * (2 + 2**3 + 2**6 + 2**10 + 2**15) == 101598
 
 
 def test_arc_sequence_construction():

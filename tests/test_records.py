@@ -112,6 +112,25 @@ def test_arc_sequence_is_the_tuple_of_its_arcs(monkeypatch):
         assert sorted(shuffled, key=seq_key) == by_pairs == seqs, D
 
 
+def test_of_checks_each_set_once(monkeypatch):
+    # of sorts and tests for duplicates itself, then runs the noncrossing test once and
+    # builds the tuple: the checking constructor would test its sorted tuple again
+    checked, check = [], noncrossing.is_noncrossing
+    monkeypatch.setattr(noncrossing, "is_noncrossing", lambda xs: checked.append(xs) or check(xs))
+    built, new = [], ArcSequence.__new__
+    monkeypatch.setattr(ArcSequence, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
+    for D in range(0, 9, 2):
+        for want in enumerate_noncrossing(D):
+            checked.clear()
+            got = ArcSequence.of(reversed(want))
+            assert type(got) is ArcSequence and got == want and checked == [want], (D, want)
+    checked.clear()
+    with pytest.raises(ValueError, match=re.escape("arcs cross: [(1, 5), (3, 7)]")):
+        ArcSequence.of([Arc(3, 7), Arc(1, 5)])
+    assert checked == [(Arc(1, 5), Arc(3, 7))] and built == []
+    assert ArcSequence((Arc(1, 5),)) == (Arc(1, 5),) and built == [((Arc(1, 5),),)]
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -122,6 +141,7 @@ def test_arc_sequence_is_the_tuple_of_its_arcs(monkeypatch):
         (lambda: ArcSequence((Arc(1, 1), Arc(1, 1))), "arcs must be sorted and distinct; use ArcSequence.of"),
         (lambda: ArcSequence.of([Arc(1, 1), Arc(1, 1)]), "duplicate arcs"),
         (lambda: ArcSequence((Arc(1, 5), Arc(3, 7))), "arcs cross: [(1, 5), (3, 7)]"),
+        (lambda: ArcSequence.of([Arc(3, 7), Arc(1, 5)]), "arcs cross: [(1, 5), (3, 7)]"),
         (lambda: Line(0, 2), "bad line bounds (0, 2)"),
         (lambda: Line(3, 2), "bad line bounds (3, 2)"),
     ],
