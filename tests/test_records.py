@@ -125,7 +125,7 @@ def test_of_checks_each_set_once(monkeypatch):
             got = ArcSequence.of(reversed(want))
             assert type(got) is ArcSequence and got == want and checked == [want], (D, want)
     checked.clear()
-    with pytest.raises(ValueError, match=re.escape("arcs cross: [(1, 5), (3, 7)]")):
+    with pytest.raises(ValueError, match=f"^{re.escape('arcs cross: [(1, 5), (3, 7)]')}$"):
         ArcSequence.of([Arc(3, 7), Arc(1, 5)])
     assert checked == [(Arc(1, 5), Arc(3, 7))] and built == []
     assert ArcSequence((Arc(1, 5),)) == (Arc(1, 5),) and built == [((Arc(1, 5),),)]
@@ -141,7 +141,6 @@ def test_of_checks_each_set_once(monkeypatch):
         (lambda: ArcSequence((Arc(1, 1), Arc(1, 1))), "arcs must be sorted and distinct; use ArcSequence.of"),
         (lambda: ArcSequence.of([Arc(1, 1), Arc(1, 1)]), "duplicate arcs"),
         (lambda: ArcSequence((Arc(1, 5), Arc(3, 7))), "arcs cross: [(1, 5), (3, 7)]"),
-        (lambda: ArcSequence.of([Arc(3, 7), Arc(1, 5)]), "arcs cross: [(1, 5), (3, 7)]"),
         (lambda: Line(0, 2), "bad line bounds (0, 2)"),
         (lambda: Line(3, 2), "bad line bounds (3, 2)"),
     ],
